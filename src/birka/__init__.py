@@ -16,7 +16,8 @@ from .linalg import (ConvergenceError, EigenDecomposition,
 from .models import (FlowModelParams, HeatModelParams, build_flow_model,
                      build_heat_model)
 from .reduction import (BirkaConfig, BirkaResult, birka_step,
-                        initialize_guess, realify, run_birka)
+                        initialize_guess, realify_rotation, run_birka,
+                        sieve_operator)
 from .solvers import (IlutPreconditioner, KroneckerOperator, SolveReport,
                       bicg_dual_solve, build_ilut, direct_solve)
 from .stability import (PerturbationF, StabilityReport, analyze_iteration,

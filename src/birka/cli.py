@@ -28,8 +28,8 @@ import numpy as np
 from .linalg import ConvergenceError, SingularMatrixError
 from .models import (FlowModelParams, HeatModelParams, build_flow_model,
                      build_heat_model)
-from .reduction import BirkaConfig, birka_step, run_birka
-from .solvers import KroneckerOperator
+from .reduction import (BirkaConfig, initialize_guess, run_birka,
+                        sieve_operator)
 from .stability import analyze_iteration, condition_number, stability_csv
 from .system import (BilinearSystem, h2_error, h2_norm_kron, h2_norm_lyap,
                      qhat_diagnostics)
@@ -116,16 +116,10 @@ def cmd_reduce(args):
     return 0
 
 
-def _six_smallest_eigs(sys_full, guess, config):
+def _six_smallest_eigs(sys_full, guess):
     """Six smallest-magnitude eigenvalues of the assembled sieve operator."""
-    from .linalg import eig_dense
-    A_c, N_c, B_c, C_c = guess.dense()
-    ed = eig_dense(A_c)
-    R = ed.right_vectors
-    NCheck = [np.linalg.solve(R, Nk @ R).T for Nk in N_c]
-    op = KroneckerOperator(ed.eigenvalues, NCheck, sys_full)
-    M = op.assemble().toarray()
-    w = np.linalg.eigvals(M)
+    op = sieve_operator(sys_full, guess)[0]
+    w = np.linalg.eigvals(op.assemble().toarray())
     return w[np.argsort(np.abs(w))][:6]
 
 
@@ -158,12 +152,10 @@ def cmd_experiment(args):
                                         rep.rc_norm, rep.wtv_inv_wt_frob,
                                         rep.f_norm2, rep.thm_bound])
                 if seed == seeds[0] and sys_full.n * args.r <= 2000:
-                    guess0 = None
-                    from .reduction import initialize_guess
                     guess0 = initialize_guess(seed, args.r, sys_full.m, sys_full.p)
                     for tag, g in (("first", guess0), ("converged", result.reduced)):
                         for idx, lam in enumerate(
-                                _six_smallest_eigs(sys_full, g, config)):
+                                _six_smallest_eigs(sys_full, g)):
                             fig3_rows.append([seed, tol, tag, idx,
                                               lam.real, lam.imag])
             except (SingularMatrixError, ConvergenceError, ValueError) as exc:

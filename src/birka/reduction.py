@@ -1,10 +1,11 @@
 """H2-optimal reduction of bilinear systems by fixed-point iteration.
 
-Each sweep eigendecomposes the current reduced drift matrix, solves a
-primal/dual pair of Kronecker-structured sieve systems for the trial
-bases, realifies and orthonormalizes them, and obliquely projects the
-full model.  At the fixed point the reduced model satisfies the
-interpolation-based first-order H2 optimality conditions.
+Each sweep eigendecomposes the current reduced drift matrix, rotates
+its eigenbasis into a real paired basis, solves the (real) primal/dual
+pair of Kronecker-structured sieve systems for the trial bases,
+orthonormalizes them, and obliquely projects the full model.  At the
+fixed point the reduced model satisfies the interpolation-based
+first-order H2 optimality conditions.
 """
 
 import csv
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, eig_dense, orth, unvec, vec
+from .linalg import SingularMatrixError, eig_dense, orth, vec
 from .solvers import KroneckerOperator, bicg_dual_solve, build_ilut, direct_solve
 from .system import BilinearSystem, h2_error
 
@@ -124,82 +125,100 @@ def initialize_guess(seed, r, m, p):
     return BilinearSystem(A, N, B, C, label=f"guess(seed={seed},r={r})")
 
 
-def realify(M, eigenvalues=None, tol=1e-8):
-    """Real basis with the same span as [M, conj(M)], column count preserved.
+def realify_rotation(eigenvalues, tol=1e-8):
+    """Unitary U that turns a conjugation-closed eigenbasis into a real one.
 
-    Columns must correspond to a conjugation-closed set: a real column
-    passes through as its real part; each conjugate pair (v, vbar)
-    becomes the pair (Re v, Im v).  Pairing uses ``eigenvalues`` when
-    supplied (exact conjugate matching) and column conjugacy otherwise.
-    A rank drop of the realified basis is flagged with a warning.
+    A real eigenvalue keeps its column (U is the identity there).  Each
+    conjugate pair (lambda_i, lambda_j = conj(lambda_i)) is rotated on
+    rows and columns (i, j) by the fixed unitary [[1, -i], [1, i]] / sqrt(2),
+    so that U^H diag(eigenvalues) U is real with the 2-by-2 block
+    [[Re lambda_i, Im lambda_i], [-Im lambda_i, Re lambda_i]], and R U is
+    real for eigenvectors with r_j = conj(r_i).  An eigenvalue is real
+    when its imaginary part is at most ``tol`` relative, and a partner
+    must match the conjugate to the same tolerance.  A complex eigenvalue
+    without a partner keeps its column with a warning; its imaginary part
+    is lost when the rotated quantities are taken real.
     """
-    M = np.asarray(M)
-    if not np.iscomplexobj(M):
-        return M.copy()
-    n, q = M.shape
-    out = np.empty((n, q))
+    lam = np.asarray(eigenvalues).reshape(-1)
+    q = lam.size
+    U = np.eye(q, dtype=complex)
     used = np.zeros(q, dtype=bool)
-    col = 0
+    s = np.sqrt(0.5)
     for i in range(q):
         if used[i]:
             continue
         used[i] = True
-        vi = M[:, i]
-        is_real = (abs(eigenvalues[i].imag) <= tol * max(abs(eigenvalues[i]), 1.0)
-                   if eigenvalues is not None
-                   else np.linalg.norm(vi.imag) <= tol * max(np.linalg.norm(vi), 1.0))
-        if is_real:
-            out[:, col] = vi.real
-            col += 1
+        scale = tol * max(abs(lam[i]), 1.0)
+        if abs(lam[i].imag) <= scale:
             continue
-        # locate the conjugate partner among the remaining columns
         candidates = [j for j in range(i + 1, q) if not used[j]]
-        if not candidates:
+        dists = [abs(lam[j] - np.conj(lam[i])) for j in candidates]
+        if not candidates or min(dists) > scale:
             warnings.warn("unpaired complex column during realification",
                           RuntimeWarning, stacklevel=2)
-            out[:, col] = vi.real
-            col += 1
             continue
-        if eigenvalues is not None:
-            dists = [abs(eigenvalues[j] - np.conj(eigenvalues[i])) for j in candidates]
-        else:
-            dists = [np.linalg.norm(M[:, j] - np.conj(vi)) for j in candidates]
         j = candidates[int(np.argmin(dists))]
         used[j] = True
-        out[:, col] = vi.real
-        out[:, col + 1] = vi.imag
-        col += 2
-    out = out[:, :col]
-    if col > 0:
-        sv = np.linalg.svd(out, compute_uv=False)
-        if sv[0] > 0 and np.sum(sv > max(n, col) * np.finfo(float).eps * sv[0] * 1e3) < col:
-            warnings.warn("realified basis lost rank", RuntimeWarning, stacklevel=2)
-    return out
+        U[[i, j], i] = s
+        U[[i, j], j] = [-1j * s, 1j * s]
+    return U
 
 
-def _orth_with_residual(solution, residual, eigenvalues):
-    """Realify and orthonormalize a trial basis, co-transforming its residual.
+def sieve_operator(sys, guess):
+    """Real sieve operator and right-hand sides of one sweep from ``guess``.
 
-    The raw solution X (with residual R = rhs - M vec(X)) is first
-    realified and then QR-factored, X_real = Q Z.  The same column
-    transformation applied to the residual, R_orth = R_real Z^{-1},
-    makes (Q, R_orth) a consistent solution/residual pair for the
-    re-based systems, so that all basis-dependent stability quantities
-    can be reported in the orthonormal-basis convention.  Falls back to
-    a plain SVD basis with an untransformed residual when the basis is
-    rank-deficient.
+    Eigendecomposes the reduced drift A_r = R diag(lambda) R^{-1} and
+    rotates the eigenbasis by U = realify_rotation(lambda):
+    S = U^H diag(lambda) U, NCheck_k = U^H (R^{-1} N_k R)^T U, primal
+    right-hand side B (R^{-1} B_r)^T U and dual right-hand side
+    C^T C_r R conj(U), all real.  The rotated pair is unitarily similar
+    to the complex eigenbasis pair, with the dual transformed by the
+    plain transpose of the primal's change of basis, so bilinear
+    pairings, residual norms and the spans of the realified solutions
+    are those of the complex pair.
+
+    Returns ``(op, rhs_primal, rhs_dual, eigenvalues)``.
     """
-    X_real = realify(solution, eigenvalues)
-    R_real = realify(residual, eigenvalues)
-    q = X_real.shape[1]
-    sv = np.linalg.svd(X_real, compute_uv=False) if q else np.array([])
-    full_rank = q > 0 and sv[-1] > max(X_real.shape) * np.finfo(float).eps * sv[0]
+    A_c, N_c, B_c, C_c = guess.dense()
+    ed = eig_dense(A_c)
+    if ed.ill_conditioned:
+        warnings.warn("reduced drift matrix is nearly defective",
+                      RuntimeWarning, stacklevel=2)
+    if np.any(ed.eigenvalues.real >= 0):
+        warnings.warn("reduced drift matrix has unstable eigenvalues; "
+                      "continuing", RuntimeWarning, stacklevel=2)
+    lam, R = ed.eigenvalues, ed.right_vectors
+    U = realify_rotation(lam)
+    Uh = U.conj().T
+    S = (Uh @ (lam[:, np.newaxis] * U)).real
+    NCheck = [(Uh @ np.linalg.solve(R, Nk @ R).T @ U).real for Nk in N_c]
+    BCheck = (np.linalg.solve(R, B_c).T @ U).real             # m x r
+    CCheck = (C_c @ R @ U.conj()).real                        # p x r
+    op = KroneckerOperator(S, NCheck, sys,
+                           rotation=U if np.any(U.imag) else None)
+    return op, vec(sys.B @ BCheck), vec(sys.C.T @ CCheck), lam
+
+
+def _orth_with_residual(solution, residual):
+    """Orthonormalize a trial basis, co-transforming its residual.
+
+    The raw solution X (with residual R = rhs - M vec(X)) is QR-factored,
+    X = Q Z.  The same column transformation applied to the residual,
+    R_orth = R Z^{-1}, makes (Q, R_orth) a consistent solution/residual
+    pair for the re-based systems, so that all basis-dependent stability
+    quantities can be reported in the orthonormal-basis convention.
+    Falls back to a plain SVD basis with an untransformed residual when
+    the basis is rank-deficient.
+    """
+    q = solution.shape[1]
+    sv = np.linalg.svd(solution, compute_uv=False) if q else np.array([])
+    full_rank = q > 0 and sv[-1] > max(solution.shape) * np.finfo(float).eps * sv[0]
     if not full_rank:
         warnings.warn("rank-deficient trial basis; residual left in the "
                       "raw-basis convention", RuntimeWarning, stacklevel=2)
-        return orth(X_real), R_real
-    Q, Z = np.linalg.qr(X_real)
-    return Q, np.linalg.solve(Z.T, R_real.T).T
+        return orth(solution), residual
+    Q, Z = np.linalg.qr(solution)
+    return Q, np.linalg.solve(Z.T, residual.T).T
 
 
 def _project(sys, V_r, W_r):
@@ -218,28 +237,13 @@ def _project(sys, V_r, W_r):
 
 
 def birka_step(sys, guess, config):
-    """One sweep: eigendecompose, solve the sieve pair, project.
+    """One sweep: set up the real sieve pair, solve it, project.
 
     Returns ``(new_guess, record)`` where record is an
     :class:`IterationRecord` with its convergence fields left unset.
     """
-    A_c, N_c, B_c, C_c = guess.dense()
-    ed = eig_dense(A_c)
-    if ed.ill_conditioned:
-        warnings.warn("reduced drift matrix is nearly defective",
-                      RuntimeWarning, stacklevel=2)
-    unstable = bool(np.any(ed.eigenvalues.real >= 0))
-    if unstable:
-        warnings.warn("reduced drift matrix has unstable eigenvalues; "
-                      "continuing", RuntimeWarning, stacklevel=2)
-    R = ed.right_vectors
-    BCheck = np.linalg.solve(R, B_c).T                       # B^T R^{-T}, m x r
-    CCheck = C_c @ R                                         # C R, p x r
-    NCheck = [np.linalg.solve(R, Nk @ R).T for Nk in N_c]    # R^T N_k^T R^{-T}
-
-    op = KroneckerOperator(ed.eigenvalues, NCheck, sys)
-    rhs_primal = vec(sys.B @ BCheck)
-    rhs_dual = vec(sys.C.T @ CCheck)
+    op, rhs_primal, rhs_dual, eigenvalues = sieve_operator(sys, guess)
+    unstable = bool(np.any(eigenvalues.real >= 0))
 
     if config.solver_mode == "direct":
         rep_p, rep_d = direct_solve(op, rhs_primal, rhs_dual)
@@ -250,13 +254,11 @@ def birka_step(sys, guess, config):
                                        config.bicg_tol, config.bicg_maxit,
                                        precond)
 
-    V_r, RB_orth = _orth_with_residual(rep_p.solution, rep_p.residual,
-                                       ed.eigenvalues)
-    W_r, RC_orth = _orth_with_residual(rep_d.solution, rep_d.residual,
-                                       ed.eigenvalues)
+    V_r, RB_orth = _orth_with_residual(rep_p.solution, rep_p.residual)
+    W_r, RC_orth = _orth_with_residual(rep_d.solution, rep_d.residual)
     new_guess = _project(sys, V_r, W_r)
     record = IterationRecord(
-        iteration=0, eigenvalues=ed.eigenvalues, relative_change=np.nan,
+        iteration=0, eigenvalues=eigenvalues, relative_change=np.nan,
         report_primal=rep_p, report_dual=rep_d,
         V_r=V_r if config.capture_bases else None,
         W_r=W_r if config.capture_bases else None,

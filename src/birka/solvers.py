@@ -2,9 +2,13 @@
 
 The reduction algorithm needs, at every outer iteration, the solutions
 of a primal system M vec(V) = b and its transposed dual M^T vec(W) = c
-with M = -Lambda (x) I_n - I_r (x) A - sum_k NCheck_k^T (x) N_k.  This
-module provides the matrix-free operator, an exact sparse-LU path, a
-coupled two-sided BiCG that solves the primal/dual pair within a single
+with M = -S^T (x) I_n - I_r (x) A - sum_k NCheck_k^T (x) N_k.  The
+reduction hands over S and NCheck_k in the real paired eigenbasis of
+the reduced drift (see ``reduction.sieve_operator``): a real eigenvalue
+keeps its own column and each conjugate pair becomes a real 2-by-2
+block of S, so M, b, c and both solutions are real.  This module
+provides the matrix-free operator, an exact sparse-LU path, a coupled
+two-sided BiCG that solves the primal/dual pair within a single
 recurrence (so the two Krylov spaces stay bi-orthogonally paired), and
 a threshold-ILU preconditioner for the assembled operator.
 """
@@ -21,33 +25,56 @@ from .linalg import (ConvergenceError, SingularMatrixError, SparseLU,
 
 
 class KroneckerOperator:
-    """Matrix-free M = -Lambda (x) I_n - I_r (x) A - sum_k NCheck_k^T (x) N_k.
+    """Matrix-free M = -S^T (x) I_n - I_r (x) A - sum_k NCheck_k^T (x) N_k.
 
-    ``apply`` multiplies by M and ``apply_transpose`` by M^T, where the
-    transpose is taken WITHOUT conjugation so that the dual operator is
-    exactly the transpose of the primal one even for complex Lambda.
-    Both act on length n*r vectors interpreted as vec of an n-by-r
-    matrix (column stacking).
+    ``apply`` multiplies by M, i.e. maps vec(X) to
+    vec(-X S - A X - sum_k N_k X NCheck_k), and ``apply_transpose`` by
+    M^T, where the transpose is taken WITHOUT conjugation so that the
+    dual operator is exactly the transpose of the primal one even for
+    complex data.  Both act on length n*r vectors interpreted as vec of
+    an n-by-r matrix (column stacking).
+
+    ``Lambda`` is either the r-by-r matrix S or a length-r vector that
+    stands for diag(Lambda).  The reduction passes the real
+    block-diagonal S = U^H diag(lambda) U of its real paired basis, in
+    which the dual right-hand side carries conj(U) and both solutions
+    are real, together with ``rotation`` = U when there is a conjugate
+    pair; :func:`build_ilut` then factors the operator in the complex
+    eigenbasis (see :meth:`assemble_eigenbasis`).  The transposes A^T
+    and N_k^T are converted to CSR once, here, rather than on every
+    ``apply_transpose``.
     """
 
-    def __init__(self, Lambda, NCheckCheck, sys):
-        Lambda = np.asarray(Lambda).reshape(-1)
-        r = Lambda.size
+    def __init__(self, Lambda, NCheckCheck, sys, rotation=None):
+        Lambda = np.asarray(Lambda)
+        if Lambda.ndim <= 1:
+            Lambda = Lambda.reshape(-1)
+            S, spectrum = np.diag(Lambda), Lambda
+        else:
+            S, spectrum = Lambda, np.linalg.eigvals(Lambda)
+        r = S.shape[0]
+        if S.shape != (r, r):
+            raise ValueError("S must be r-by-r")
         NCheckCheck = [np.asarray(Nc) for Nc in NCheckCheck]
         if len(NCheckCheck) != sys.m:
             raise ValueError("need one NCheck_k per input channel")
         for Nc in NCheckCheck:
             if Nc.shape != (r, r):
                 raise ValueError("each NCheck_k must be r-by-r")
-        if np.any(Lambda.real >= 0):
+        if np.any(spectrum.real >= 0):
             warnings.warn("reduced eigenvalues with nonnegative real part",
                           RuntimeWarning, stacklevel=2)
         self.Lambda = Lambda
+        self.S = S
+        self.rotation = rotation
         self.NCheckCheck = NCheckCheck
         self.A = sys.A
         self.N = sys.N
+        self._At = sys.A.T.tocsr()
+        self._Nt = [Nk.T.tocsr() for Nk in sys.N]
         self.n, self.r = sys.A.shape[0], r
         self.shape = (self.n * r, self.n * r)
+        self.dtype = np.result_type(S.dtype, *(Nc.dtype for Nc in NCheckCheck))
 
     def _as_matrix(self, x):
         return unvec(np.asarray(x), self.n, self.r)
@@ -55,7 +82,7 @@ class KroneckerOperator:
     def apply(self, x):
         """M @ x through vec identities: (P^T (x) Q) vec(X) = vec(Q X P)."""
         X = self._as_matrix(x)
-        Y = -X * self.Lambda[np.newaxis, :] - self.A @ X
+        Y = -X @ self.S - self.A @ X
         for Nc, Nk in zip(self.NCheckCheck, self.N):
             Y = Y - Nk @ (X @ Nc)
         return vec(Y)
@@ -63,20 +90,32 @@ class KroneckerOperator:
     def apply_transpose(self, x):
         """M^T @ x (plain transpose, no conjugation)."""
         X = self._as_matrix(x)
-        Y = -X * self.Lambda[np.newaxis, :] - self.A.T @ X
-        for Nc, Nk in zip(self.NCheckCheck, self.N):
-            Y = Y - Nk.T @ (X @ Nc.T)
+        Y = -X @ self.S.T - self._At @ X
+        for Nc, Nkt in zip(self.NCheckCheck, self._Nt):
+            Y = Y - Nkt @ (X @ Nc.T)
         return vec(Y)
 
     def assemble(self):
-        """Assembled sparse (n*r)-by-(n*r) matrix (complex when Lambda is)."""
-        n, r = self.n, self.r
-        I_n = sps.identity(n, format="csr")
-        I_r = sps.identity(r, format="csr")
-        M = -sps.kron(sps.diags(self.Lambda), I_n) - sps.kron(I_r, self.A)
-        for Nc, Nk in zip(self.NCheckCheck, self.N):
-            M = M - sps.kron(sps.csr_matrix(Nc.T), Nk)
-        return M.tocsr()
+        """Assembled sparse (n*r)-by-(n*r) matrix (complex when the data is)."""
+        return _assemble(self.S, self.NCheckCheck, self.A, self.N)
+
+    def assemble_eigenbasis(self):
+        """The operator in the complex eigenbasis, P^{-1} M P with
+        P = U^T (x) I_n for U = ``rotation``: diagonal U S U^H and
+        U NCheck_k U^H."""
+        U, Uh = self.rotation, self.rotation.conj().T
+        return _assemble(np.diag(np.diag(U @ self.S @ Uh)),
+                         [U @ Nc @ Uh for Nc in self.NCheckCheck], self.A, self.N)
+
+
+def _assemble(S, NCheckCheck, A, N):
+    n, r = A.shape[0], S.shape[0]
+    I_n = sps.identity(n, format="csr")
+    I_r = sps.identity(r, format="csr")
+    M = -sps.kron(sps.csr_matrix(S.T), I_n) - sps.kron(I_r, A)
+    for Nc, Nk in zip(NCheckCheck, N):
+        M = M - sps.kron(sps.csr_matrix(Nc.T), Nk)
+    return M.tocsr()
 
 
 @dataclass
@@ -145,19 +184,44 @@ def direct_solve(op, rhs_primal, rhs_dual):
                           0.0, "direct")
 
 
-class IlutPreconditioner:
-    """Threshold incomplete-LU factors of an assembled sieve operator."""
+def _times(x, Q):
+    """vec(X Q) for x = vec(X), X with Q.shape[0] columns."""
+    r = Q.shape[0]
+    return vec(unvec(x, x.size // r, r) @ Q)
 
-    def __init__(self, ilu, drop_tolerance, shift=0.0):
+
+class IlutPreconditioner:
+    """Threshold incomplete-LU factors of an assembled sieve operator.
+
+    With ``rotation`` = U the factors K are those of the operator M_c in
+    the complex eigenbasis, and the real operator M = P M_c P^{-1}
+    (P = U^T (x) I_n) is preconditioned by Re(P K^{-1} P^{-1}), with
+    transpose Re(P^{-T} K^{-T} P^T).  The real part only drops what the
+    threshold dropping does differently on the two columns of a pair.
+    A threshold ILU of the real paired operator itself, whose 2-by-2
+    blocks couple those two columns, is a much weaker preconditioner and
+    can be numerically unstable.
+    """
+
+    def __init__(self, ilu, drop_tolerance, shift=0.0, rotation=None):
         self._ilu = ilu
         self.drop_tolerance = drop_tolerance
         self.shift = shift
+        self.rotation = rotation
 
     def solve(self, x):
-        return self._ilu.solve(np.asarray(x))
+        x = np.asarray(x)
+        if self.rotation is None:
+            return self._ilu.solve(x)
+        U = self.rotation
+        return _times(self._ilu.solve(_times(x, U.conj().T)), U).real
 
     def solve_transpose(self, x):
-        return self._ilu.solve(np.asarray(x), trans="T")
+        x = np.asarray(x)
+        if self.rotation is None:
+            return self._ilu.solve(x, trans="T")
+        U = self.rotation
+        return _times(self._ilu.solve(_times(x, U.T), trans="T"), U.conj()).real
 
     def describe(self):
         base = f"ilut(drop_tol={self.drop_tolerance:g})"
@@ -167,11 +231,17 @@ class IlutPreconditioner:
 def build_ilut(op, drop_tol, fill_factor=10.0):
     """Threshold ILU of the assembled operator, with diagonal-shift retries.
 
-    A zero (or unusably small) pivot triggers a retry on the shifted
-    matrix M + s*I with s = 1e-8 * ||M||_F, doubling s each attempt, at
-    most 3 attempts.
+    A sieve operator with a ``rotation`` is factored in its complex
+    eigenbasis (see :class:`IlutPreconditioner`).  A zero (or unusably
+    small) pivot triggers a retry on the shifted matrix M + s*I with
+    s = 1e-8 * ||M||_F, doubling s each attempt, at most 3 attempts.
     """
-    M = sps.csc_matrix(op.assemble() if isinstance(op, KroneckerOperator) else op)
+    rotation = op.rotation if isinstance(op, KroneckerOperator) else None
+    if rotation is not None:
+        M = op.assemble_eigenbasis()
+    else:
+        M = op.assemble() if isinstance(op, KroneckerOperator) else op
+    M = sps.csc_matrix(M)
     shift = 0.0
     step = 1e-8 * frobenius_norm(M)
     last_exc = None
@@ -180,7 +250,7 @@ def build_ilut(op, drop_tol, fill_factor=10.0):
             ilu = spsla.spilu(M + shift * sps.identity(M.shape[0], dtype=M.dtype, format="csc")
                               if shift else M,
                               drop_tol=drop_tol, fill_factor=fill_factor)
-            return IlutPreconditioner(ilu, drop_tol, shift)
+            return IlutPreconditioner(ilu, drop_tol, shift, rotation)
         except RuntimeError as exc:
             last_exc = exc
             shift = step * (2 ** attempt)
@@ -211,7 +281,7 @@ def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None,
         raise ValueError("BiCG requires nonzero right-hand sides")
     if maxit is None:
         maxit = 4 * op.n * op.r
-    dtype = np.result_type(b.dtype, c.dtype, op.Lambda.dtype)
+    dtype = np.result_type(b.dtype, c.dtype, op.dtype)
     x = np.zeros_like(b, dtype=dtype)
     xhat = np.zeros_like(c, dtype=dtype)
     r = b.astype(dtype)

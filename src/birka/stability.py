@@ -73,6 +73,11 @@ class PerturbationF:
         X = np.asarray(X)
         return self._P1 @ (self._Q1.T @ X) + self._P2 @ (self._Q2.T @ X)
 
+    def apply_matrix_left(self, X):
+        """X @ F through the factors."""
+        X = np.asarray(X)
+        return (X @ self._P1) @ self._Q1.T + (X @ self._P2) @ self._Q2.T
+
     def apply(self, x):
         return self.apply_matrix(np.asarray(x).reshape(-1, 1)).reshape(-1)
 
@@ -322,8 +327,7 @@ def analyze_iteration(sys, record, compute_fhh=True):
     T = F.T
     frag = verify_backward_stability(sys, record.V_r, record.W_r, F)
     eq_B = float(np.linalg.norm(F.apply_matrix(V_tilde) - R_B, 2))
-    eq_C = float(np.linalg.norm(W_tilde.T @ (F.apply_matrix(np.eye(F.n))) - R_C.T, 2)) \
-        if F.n <= 2000 else float("nan")
+    eq_C = float(np.linalg.norm(F.apply_matrix_left(W_tilde.T) - R_C.T, 2))
     return StabilityReport(
         iteration=record.iteration,
         rb_norm=float(np.linalg.norm(R_B, 2)),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from birka.linalg import SparseLU, vec
+from birka.linalg import SparseLU, unvec, vec
 from birka.solvers import (KroneckerOperator, bicg_dual_solve, build_ilut,
                            direct_solve)
 from birka.models import HeatModelParams, build_heat_model
+from birka.reduction import initialize_guess, sieve_operator
 from birka.system import BilinearSystem
 from conftest import random_stable_system
 
@@ -12,6 +13,15 @@ from conftest import random_stable_system
 def scalar_op(a=-1.0, n1=0.0, lam=-1.0):
     sys = BilinearSystem([[a]], [[[n1]]], [[1.0]], [[1.0]])
     return KroneckerOperator(np.array([lam]), [np.array([[n1]])], sys), sys
+
+
+def paired_op(rng, n, r=4):
+    """Real paired-basis sieve operator of a guess whose drift has a
+    conjugate pair."""
+    sys = random_stable_system(rng, n)
+    op = sieve_operator(sys, initialize_guess(0, r, sys.m, sys.p))[0]
+    assert op.rotation is not None
+    return op, sys
 
 
 def random_op(rng, n, r, m=1):
@@ -33,12 +43,16 @@ class TestKroneckerOperator:
         assert op.apply_transpose(np.array([3.0])) == pytest.approx([6.0])
 
     def test_apply_matches_assembled(self, rng):
-        op, _ = random_op(rng, 7, 4)
-        M = op.assemble().toarray()
-        x = rng.standard_normal(28) + 1j * rng.standard_normal(28)
-        assert np.allclose(op.apply(x), M @ x, atol=1e-13 * np.linalg.norm(M))
-        assert np.allclose(op.apply_transpose(x), M.T @ x,
-                           atol=1e-13 * np.linalg.norm(M))
+        op, sys = random_op(rng, 7, 4)
+        # a non-diagonal real S, as in the real paired basis of a sweep
+        S = rng.standard_normal((4, 4)) - 4.0 * np.eye(4)
+        op_S = KroneckerOperator(S, op.NCheckCheck, sys)
+        for op in (op, op_S):
+            M = op.assemble().toarray()
+            x = rng.standard_normal(28) + 1j * rng.standard_normal(28)
+            assert np.allclose(op.apply(x), M @ x, atol=1e-13 * np.linalg.norm(M))
+            assert np.allclose(op.apply_transpose(x), M.T @ x,
+                               atol=1e-13 * np.linalg.norm(M))
 
     def test_transpose_without_conjugation(self, rng):
         op, _ = random_op(rng, 5, 3)
@@ -160,20 +174,37 @@ class TestBicgDualSolve:
 
 class TestIlutPreconditioner:
     def test_zero_drop_gives_fast_convergence(self, rng):
-        op, _ = random_op(rng, 10, 4)
-        pre = build_ilut(op, drop_tol=0.0)
-        b = rng.standard_normal(40)
-        c = rng.standard_normal(40)
-        rep_p, rep_d = bicg_dual_solve(op, b, c, tol=1e-10, precond=pre)
-        assert rep_p.iterations <= 3
-        assert rep_p.converged and rep_d.converged
+        # the second operator is factored in its complex eigenbasis
+        for op, _ in (random_op(rng, 10, 4), paired_op(rng, 10)):
+            pre = build_ilut(op, drop_tol=0.0)
+            b = rng.standard_normal(40)
+            c = rng.standard_normal(40)
+            rep_p, rep_d = bicg_dual_solve(op, b, c, tol=1e-10, precond=pre)
+            assert rep_p.iterations <= 3
+            assert rep_p.converged and rep_d.converged
 
     def test_transpose_solve_consistent(self, rng):
-        op, _ = random_op(rng, 6, 3)
-        pre = build_ilut(op, drop_tol=0.0)
-        M = op.assemble().toarray()
-        y = rng.standard_normal(18)
-        assert np.allclose(M.T @ pre.solve_transpose(y), y, atol=1e-8)
+        for op, _ in (random_op(rng, 6, 3), paired_op(rng, 6)):
+            pre = build_ilut(op, drop_tol=0.0)
+            M = op.assemble().toarray()
+            y = rng.standard_normal(op.shape[0])
+            assert np.allclose(M.T @ pre.solve_transpose(y), y, atol=1e-8)
+            assert np.allclose(M @ pre.solve(y), y, atol=1e-8)
+
+    def test_paired_operator_uses_eigenbasis_factors(self, rng):
+        # K^{-1} = Re(P K_c^{-1} P^{-1}), P = U^T (x) I, with K_c the
+        # threshold ILU of the complex eigenbasis operator; K^{-T} is its
+        # transpose, as the coupled BiCG requires
+        op, sys = paired_op(rng, 10)
+        U, Uh = op.rotation, op.rotation.conj().T
+        op_c = KroneckerOperator(np.diag(U @ op.S @ Uh),
+                                 [U @ Nc @ Uh for Nc in op.NCheckCheck], sys)
+        pre, pre_c = build_ilut(op, 1e-2), build_ilut(op_c, 1e-2)
+        y, z = rng.standard_normal((2, op.shape[0]))
+        want = (unvec(pre_c.solve(vec(unvec(y, op.n, op.r) @ Uh)), op.n, op.r) @ U).real
+        assert np.allclose(pre.solve(y), vec(want), atol=1e-12 * np.linalg.norm(want))
+        assert np.dot(z, pre.solve(y)) == pytest.approx(
+            np.dot(y, pre.solve_transpose(z)), rel=1e-10)
 
     def test_preconditioning_reduces_iterations_on_heat(self):
         sys = build_heat_model(HeatModelParams(K=10))

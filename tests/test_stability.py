@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from birka.models import HeatModelParams, build_heat_model
-from birka.reduction import BirkaConfig, run_birka
+from birka.reduction import BirkaConfig, IterationRecord, run_birka
 from birka.stability import (PerturbationF, analyze_iteration,
                              condition_number, construct_perturbation,
                              fhh_norm, perturbation_bound, stability_csv,
@@ -187,3 +188,34 @@ class TestAnalyzeIteration:
         stability_csv(reps, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+class TestEqDefectC:
+    """||W~^T F - R_C^T||_2 from the factors of F, at any state dimension."""
+
+    def _instance(self, rng, n, r):
+        V, W, R_B, R_C = manufactured_setup(rng, n=n, r=r)
+        # break the primal Petrov-Galerkin orthogonality, so that the
+        # defect (W~^T R_B) T W~^T is of the size of the residuals
+        R_B = R_B + 1e-3 * rng.standard_normal((n, r))
+        sys = BilinearSystem(sps.diags(-np.arange(1.0, n + 1.0)),
+                             [sps.csr_matrix((n, n))], np.ones((n, 1)),
+                             np.ones((1, n)))
+        record = IterationRecord(iteration=1, eigenvalues=None,
+                                 relative_change=0.0, report_primal=None,
+                                 report_dual=None, V_r=V, W_r=W,
+                                 R_B_orth=R_B, R_C_orth=R_C)
+        F = construct_perturbation(V, W, R_B, R_C)
+        return analyze_iteration(sys, record, compute_fhh=False), F, W, R_C
+
+    def test_finite_above_2000_and_matches_dense(self, rng):
+        rep, F, W, R_C = self._instance(rng, 2100, 2)
+        expected = np.linalg.norm(W.T @ F.assemble() - R_C.T, 2)
+        assert np.isfinite(rep.eq_defect_C)
+        assert rep.eq_defect_C == pytest.approx(expected, rel=1e-12)
+
+    def test_unchanged_at_small_n(self, rng):
+        rep, F, W, R_C = self._instance(rng, 40, 4)
+        # the formula used up to n = 2000: F applied to the identity
+        expected = np.linalg.norm(W.T @ F.apply_matrix(np.eye(40)) - R_C.T, 2)
+        assert rep.eq_defect_C == pytest.approx(expected, rel=1e-12)
