@@ -23,9 +23,9 @@ from .solvers import (IlutPreconditioner, KroneckerOperator, SolveReport,
 from .stability import (PerturbationF, StabilityReport, analyze_iteration,
                         condition_number, construct_perturbation, fhh_norm,
                         perturbation_bound, verify_backward_stability)
-from .system import (BilinearSystem, QHatDiagnostics, assemble_qhat,
-                     error_system, gramian_operator, h2_error, h2_norm_kron,
-                     h2_norm_lyap, qhat_diagnostics,
+from .system import (BilinearSystem, GramianSolver, QHatDiagnostics,
+                     assemble_qhat, error_system, gramian_operator, h2_error,
+                     h2_norm_kron, h2_norm_lyap, qhat_diagnostics,
                      solve_generalized_lyapunov)
 
 __version__ = "0.1.0"

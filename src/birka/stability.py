@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from .linalg import (SingularMatrixError, SparseLU, frobenius_norm, kron,
+from .linalg import (SingularMatrixError, frobenius_norm, kron,
                      operator_two_norm, two_norm, unvec, vec)
-from .system import gramian_operator, h2_norm_kron, qhat_diagnostics
+from .system import h2_norm_kron, qhat_diagnostics
 
 
 class PerturbationF:
@@ -242,8 +242,8 @@ def condition_number(sys, diagnostics=None, h2=None, return_factors=False):
     with CH = [C, -C] (x) [C, -C], BH = [B; B] (x) [B; B], and QH the
     error-system block operator.  ||CH QH^{-1}|| is exact: its p^2 rows
     are assembled sector-by-sector through adjoint solves against the
-    decoupled base operator, followed by the norm of the small Gram
-    matrix.  Requires ||QH^{-1}|| < 1.
+    decoupled base operator (the system's Gramian solver), followed by
+    the norm of the small Gram matrix.  Requires ||QH^{-1}|| < 1.
     """
     if diagnostics is None:
         diagnostics = qhat_diagnostics(sys)
@@ -252,13 +252,12 @@ def condition_number(sys, diagnostics=None, h2=None, return_factors=False):
         raise ValueError(
             f"||QH^-1|| = {qinv:.3e} >= 1: the accuracy bound's hypothesis "
             "fails and the condition number is undefined")
-    n, m, p = sys.n, sys.m, sys.p
-    G = gramian_operator(sys)
-    lu = SparseLU(G)
+    m, p = sys.m, sys.p
+    solver = sys.gramian_solver()
     CC = kron(sys.C, sys.C)
     CC = CC.toarray() if sps.issparse(CC) else CC
     # base adjoint solves: K0[i] = row i of (C (x) C) G^{-1}
-    K0 = np.vstack([lu.solve_transpose(CC[i]) for i in range(p * p)])
+    K0 = np.vstack([solver.solve_transpose(CC[i]) for i in range(p * p)])
     # sector signs of [C,-C] (x) [C,-C] under the 4-fold decoupling
     signs = [1.0, -1.0, -1.0, 1.0]
     CQ = np.hstack([s * K0 for s in signs])
@@ -268,7 +267,7 @@ def condition_number(sys, diagnostics=None, h2=None, return_factors=False):
     bhat_norm = float(two_norm(b_stack.toarray())) ** 2
     a_norm = two_norm(sys.A)
     if h2 is None:
-        h2 = h2_norm_kron(sys, lu=lu)
+        h2 = h2_norm_kron(sys)
     k = (np.sqrt(2 * p) * cq_norm * qinv * bhat_norm * np.sqrt(2 * m)
          * a_norm / (h2 * (1.0 - qinv)))
     if return_factors:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from birka.linalg import SparseLU, kron, vec
-from birka.system import (BilinearSystem, assemble_qhat, error_system,
-                          gramian_operator, h2_error, h2_norm_kron,
-                          h2_norm_lyap, qhat_diagnostics,
+import birka.system
+from birka.linalg import SingularMatrixError, SparseLU, kron, vec
+from birka.models import (FlowModelParams, HeatModelParams, build_flow_model,
+                          build_heat_model)
+from birka.reduction import initialize_guess
+from birka.stability import condition_number
+from birka.system import (BilinearSystem, GramianSolver, assemble_qhat,
+                          error_system, gramian_operator, h2_error,
+                          h2_norm_kron, h2_norm_lyap, qhat_diagnostics,
                           solve_generalized_lyapunov)
 from conftest import random_stable_system
 
@@ -42,6 +47,22 @@ class TestGeneralizedLyapunov:
             kron(sys.B, sys.B) @ vec(np.eye(sys.m)))
         assert np.allclose(vec(P), x, rtol=1e-9, atol=1e-12)
 
+    def test_divergent_iteration_beyond_old_size_guard(self):
+        # n^2 = 44100; one rank-2 N touching two columns, scaled so that
+        # rho(L^-1 Pi) > 1 and the stationary iteration diverges
+        rng = np.random.default_rng(7)
+        n = 210
+        A = -np.diag(np.linspace(1.0, 5.0, n)) + np.diag(0.5 * np.ones(n - 1), 1)
+        N = np.zeros((n, n))
+        N[:, [3, 150]] = 30.0 * rng.standard_normal((n, 2)) / np.sqrt(n)
+        B = rng.standard_normal((n, 1))
+        sys = BilinearSystem(A, [N], B, rng.standard_normal((1, n)))
+        P, method = solve_generalized_lyapunov(sys)
+        assert method == "kronecker"
+        assert sys.gramian_solver().support.tolist() == [3, 150]
+        resid = A @ P + P @ A.T + N @ P @ N.T + B @ B.T
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(B @ B.T)
+
     def test_residual_and_symmetry(self, rng):
         sys = random_stable_system(rng, 8, m=1, p=2)
         P, _ = solve_generalized_lyapunov(sys)
@@ -49,6 +70,57 @@ class TestGeneralizedLyapunov:
         resid = A @ P + P @ A.T + sum(Nk @ P @ Nk.T for Nk in N) + B @ B.T
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(B @ B.T)
         assert np.linalg.norm(P - P.T) <= 1e-12 * max(np.linalg.norm(P), 1.0)
+
+
+_FLOW3 = build_flow_model(FlowModelParams(N=3))
+_ORACLE_RNG = np.random.default_rng(5)
+# (name, system, |J|)
+ORACLE_CASES = [
+    ("scalar", scalar_system(n1=0.5), 1),
+    ("dense m=1", random_stable_system(_ORACLE_RNG, 6, m=1), 6),
+    ("dense m=2", random_stable_system(_ORACLE_RNG, 7, m=2, p=2), 7),
+    ("flow N=3", _FLOW3, 3),
+    ("heat K=4", build_heat_model(HeatModelParams(K=4)), 7),
+    ("flow N=3 vs guess", error_system(_FLOW3, initialize_guess(0, 6, 1, 1)), 9),
+]
+
+
+class TestGramianSolver:
+    @pytest.mark.parametrize("sys, support", [case[1:] for case in ORACLE_CASES],
+                             ids=[case[0] for case in ORACLE_CASES])
+    def test_matches_sparse_lu(self, sys, support, rng):
+        solver = GramianSolver(sys)
+        assert solver.support.size == support
+        lu = SparseLU(gramian_operator(sys))
+        b = rng.standard_normal(sys.n ** 2)
+        for got, want in ((solver.solve(b), lu.solve(b)),
+                          (solver.solve_transpose(b), lu.solve_transpose(b))):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_bilinear_term_cancels_lyapunov_part(self):
+        # G = 2 - n1^2 = 0
+        with pytest.raises(SingularMatrixError):
+            h2_norm_kron(scalar_system(n1=np.sqrt(2.0)))
+
+    def test_eigenvalues_of_a_sum_to_zero(self):
+        sys = BilinearSystem(np.diag([1.0, -1.0]), [np.zeros((2, 2))],
+                             np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(SingularMatrixError):
+            h2_norm_kron(sys)
+
+    def test_one_engine_per_system(self, monkeypatch):
+        builds = []
+        init = GramianSolver.__init__
+
+        def counting_init(self, sys):
+            builds.append(sys)
+            init(self, sys)
+        monkeypatch.setattr(birka.system.GramianSolver, "__init__", counting_init)
+        sys = build_flow_model(FlowModelParams(N=3))
+        diag = qhat_diagnostics(sys)
+        condition_number(sys, diagnostics=diag)
+        h2_norm_kron(sys)
+        assert builds == [sys]
 
 
 class TestH2NormLyap:
