@@ -105,6 +105,21 @@ def orth(M, rank_tol=None):
     return U[:, :q]
 
 
+def oblique_gram(W, V):
+    """The matrix W^T V of an oblique projection, checked to be invertible.
+
+    Raises :class:`SingularMatrixError` when its condition number is not
+    finite or exceeds 1e14.
+    """
+    WtV = W.T @ V
+    cond = np.linalg.cond(WtV)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularMatrixError(
+            "W^T V is numerically singular; the oblique projection assumes "
+            "it to be invertible")
+    return WtV
+
+
 def two_norm(M, rel_tol=1e-6, maxit=500):
     """Largest singular value; dense SVD for small inputs, power iteration otherwise."""
     if sps.issparse(M):
@@ -121,29 +136,6 @@ def _power_two_norm(apply_fn, apply_t_fn, shape, rel_tol=1e-6, maxit=500, seed=0
     """Power iteration on M^T M through matrix-free applies of M and M^T."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape[1])
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(maxit):
-        y = apply_t_fn(apply_fn(x))
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        sigma_new = np.sqrt(ny)
-        x = y / ny
-        if abs(sigma_new - sigma) <= rel_tol * sigma_new:
-            return float(sigma_new)
-        sigma = sigma_new
-    return float(sigma)
-
-
-def operator_two_norm(apply_fn, apply_t_fn, shape, rel_tol=1e-6, maxit=500, seed=0):
-    """2-norm of a matrix-free (possibly complex) operator via power iteration.
-
-    ``apply_t_fn`` must implement the conjugate-transpose apply so that the
-    iteration runs on M^H M.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape[1]) + 0j
     x /= np.linalg.norm(x)
     sigma = 0.0
     for _ in range(maxit):

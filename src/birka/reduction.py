@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, eig_dense, orth, vec
+from .linalg import SingularMatrixError, eig_dense, oblique_gram, orth, vec
 from .solvers import KroneckerOperator, bicg_dual_solve, build_ilut, direct_solve
 from .system import BilinearSystem, h2_error
 
@@ -223,12 +223,7 @@ def _orth_with_residual(solution, residual):
 
 def _project(sys, V_r, W_r):
     """Oblique Petrov-Galerkin projection of the full model onto (V_r, W_r)."""
-    WtV = W_r.T @ V_r
-    cond = np.linalg.cond(WtV)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularMatrixError(
-            "W_r^T V_r is numerically singular; the projection assumes it "
-            "to be invertible")
+    WtV = oblique_gram(W_r, V_r)
     A_r = np.linalg.solve(WtV, W_r.T @ (sys.A @ V_r))
     N_r = [np.linalg.solve(WtV, W_r.T @ (Nk @ V_r)) for Nk in sys.N]
     B_r = np.linalg.solve(WtV, W_r.T @ sys.B.toarray())

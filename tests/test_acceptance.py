@@ -234,7 +234,7 @@ class TestAcceptance:
             for rec in res.history:
                 F = construct_perturbation(rec.V_r, rec.W_r,
                                            rec.R_B_orth, rec.R_C_orth)
-                val = fhh_norm(F, rel_tol=1e-8)
+                val = fhh_norm(F)
                 checked += 1
                 excess = val - 2 * F.norm_2
                 worst_excess = max(worst_excess,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spsla
 
+from birka.linalg import SingularMatrixError
 from birka.models import HeatModelParams, build_heat_model
-from birka.reduction import BirkaConfig, IterationRecord, run_birka
+from birka.reduction import BirkaConfig, IterationRecord, _project, run_birka
 from birka.stability import (PerturbationF, analyze_iteration,
                              condition_number, construct_perturbation,
                              fhh_norm, perturbation_bound, stability_csv,
@@ -43,16 +45,16 @@ class TestPerturbationF:
         V, W, R_B, R_C = manufactured_setup(rng, n=30, r=3)
         F = construct_perturbation(V, W, R_B, R_C)
         Fd = F.assemble()
-        assert F._factored_two_norm() == pytest.approx(np.linalg.norm(Fd, 2), rel=1e-8)
-        assert F._factored_frobenius() == pytest.approx(np.linalg.norm(Fd), rel=1e-10)
+        assert F.norm_2 == pytest.approx(np.linalg.norm(Fd, 2), rel=1e-8)
+        assert F.norm_F == pytest.approx(np.linalg.norm(Fd), rel=1e-10)
 
     def test_apply_matches_assembled(self, rng):
         V, W, R_B, R_C = manufactured_setup(rng, n=15, r=3)
         F = construct_perturbation(V, W, R_B, R_C)
         Fd = F.assemble()
-        x = rng.standard_normal(15)
-        assert np.allclose(F.apply(x), Fd @ x, atol=1e-13)
-        assert np.allclose(F.apply_conj_transpose(x), Fd.T @ x, atol=1e-13)
+        X = rng.standard_normal((15, 2))
+        assert np.allclose(F.apply_matrix(X), Fd @ X, atol=1e-13)
+        assert np.allclose(F.apply_matrix_left(X.T), X.T @ Fd, atol=1e-13)
 
     def test_norm_bounded_by_a_priori_bound(self, rng):
         V, W, R_B, R_C = manufactured_setup(rng)
@@ -111,18 +113,71 @@ class TestFhhNorm:
         assert fhh_norm(np.array([[1.0]])) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_dense_assembly(self, rng):
-        n = 3
-        Fd = rng.standard_normal((n, n))
-        FH = np.zeros((2 * n, 2 * n))
-        FH[n:, n:] = Fd
-        d = 2 * n
-        FHH = np.kron(np.eye(d), FH) + np.kron(FH, np.eye(d))
-        expected = np.linalg.norm(FHH, 2)
-        assert fhh_norm(Fd) == pytest.approx(expected, rel=1e-8)
+        # a dense F, then factored ones; n = 12 < 4r = 24 is the wide
+        # shape where the stacked factors have more columns than rows
+        inputs = [rng.standard_normal((3, 3))]
+        for n, r in ((8, 3), (12, 6)):
+            V, W, R_B, R_C = manufactured_setup(rng, n=n, r=r, res_scale=1.0)
+            inputs.append(construct_perturbation(V, W, R_B, R_C))
+        for F in inputs:
+            Fd = F.assemble() if isinstance(F, PerturbationF) else F
+            n = Fd.shape[0]
+            FH = np.zeros((2 * n, 2 * n))
+            FH[n:, n:] = Fd
+            d = 2 * n
+            FHH = np.kron(np.eye(d), FH) + np.kron(FH, np.eye(d))
+            expected = np.linalg.norm(FHH, 2)
+            assert fhh_norm(F) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_arpack_on_heat_iterates(self):
+        """Against ARPACK on the matrix-free lift x -> vec(FH X + X FH^T)."""
+        sys = build_heat_model(HeatModelParams(K=10))
+        cfg = BirkaConfig(r=6, btol=1e-6, max_outer=6, seed=0,
+                          solver_mode="bicg", bicg_tol=1e-4, capture_bases=True)
+        history = run_birka(sys, cfg).history
+        assert len(history) == 6
+        for rec in history:
+            F = construct_perturbation(rec.V_r, rec.W_r,
+                                       rec.R_B_orth, rec.R_C_orth)
+            Fd = F.assemble()
+            n = F.n
+            d = 2 * n
+
+            def lift(x, M):
+                X = x.reshape(d, d, order="F")
+                out = np.zeros((d, d))
+                out[n:, :] += M @ X[n:, :]
+                out[:, n:] += X[:, n:] @ M.T
+                return out.reshape(-1, order="F")
+
+            op = spsla.LinearOperator((d * d, d * d), dtype=float,
+                                      matvec=lambda x: lift(x, Fd),
+                                      rmatvec=lambda x: lift(x, Fd.T))
+            v0 = np.random.default_rng(0).standard_normal(d * d)
+            sigma = spsla.svds(op, k=1, v0=v0, return_singular_vectors=False)[0]
+            assert fhh_norm(F) == pytest.approx(sigma, rel=1e-10)
 
     def test_upper_bound(self, rng):
         Fd = rng.standard_normal((4, 4))
         assert fhh_norm(Fd) <= 2 * np.linalg.norm(Fd, 2) * (1 + 1e-10)
+
+
+class TestObliqueGramGuard:
+    """Every oblique projection refuses a singular W^T V."""
+
+    @pytest.mark.parametrize("call", [
+        lambda sys, V, W, R: construct_perturbation(V, W, R, R),
+        lambda sys, V, W, R: perturbation_bound(R, R, V, W),
+        lambda sys, V, W, R: verify_backward_stability(sys, V, W, np.zeros((6, 6))),
+        lambda sys, V, W, R: _project(sys, V, W),
+    ], ids=["construct_perturbation", "perturbation_bound",
+            "verify_backward_stability", "project"])
+    def test_raises_when_wtv_is_zero(self, rng, call):
+        sys = random_stable_system(rng, 6)
+        V = np.eye(6)[:, :2]
+        W = np.eye(6)[:, 2:4]          # W^T V = 0
+        with pytest.raises(SingularMatrixError):
+            call(sys, V, W, rng.standard_normal((6, 2)))
 
 
 class TestConditionNumber:
