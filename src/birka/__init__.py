@@ -10,9 +10,7 @@ norm, and the model's condition number.
 
 from .linalg import (ConvergenceError, EigenDecomposition,
                      SingularMatrixError, SparseLU, eig_dense,
-                     frobenius_norm, kron, norms, orth,
-                     smallest_singular_value, sparse_lu_solve, two_norm,
-                     unvec, vec)
+                     frobenius_norm, kron, orth, two_norm, unvec, vec)
 from .models import (FlowModelParams, HeatModelParams, build_flow_model,
                      build_heat_model)
 from .reduction import (BirkaConfig, BirkaResult, birka_step,

@@ -96,7 +96,7 @@ def cmd_reduce(args):
     reports = [analyze_iteration(sys_full, rec, compute_fhh=args.fhh)
                for rec in result.history]
     stability_csv(reports, os.path.join(out, "stability.csv"))
-    diag = qhat_diagnostics(sys_full)
+    k, factors = condition_number(sys_full, return_factors=True)
     summary = {
         "model": sys_full.label,
         "n": sys_full.n, "r": config.r,
@@ -104,10 +104,10 @@ def cmd_reduce(args):
         "iterations": result.iterations,
         "solver": config.solver_mode,
         "bicg_tol": config.bicg_tol if config.solver_mode == "bicg" else None,
-        "h2_norm": h2_norm_kron(sys_full),
+        "h2_norm": factors["h2_norm"],
         "h2_error": h2_error(sys_full, result.reduced),
-        "qinv_norm": diag.qinv_norm,
-        "condition_number": condition_number(sys_full, diagnostics=diag),
+        "qinv_norm": factors["qinv_norm"],
+        "condition_number": k,
         "final_reference_error": result.history[-1].reference_error,
         "final_f_norm": reports[-1].f_norm2,
     }

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .linalg import kron, oblique_gram, two_norm
-from .system import h2_norm_kron, qhat_diagnostics
+from .system import h2_norm_kron
 
 
 class PerturbationF:
@@ -194,16 +194,17 @@ def condition_number(sys, diagnostics=None, h2=None, return_factors=False):
     are assembled sector-by-sector through adjoint solves against the
     decoupled base operator (the system's Gramian solver), followed by
     the norm of the small Gram matrix.  Requires ||QH^{-1}|| < 1.
+    Without ``diagnostics`` only the largest singular value of the base
+    operator is computed, for ||QH^{-1}||.
     """
-    if diagnostics is None:
-        diagnostics = qhat_diagnostics(sys)
-    qinv = diagnostics.qinv_norm
+    solver = sys.gramian_solver()
+    qinv = (diagnostics.qinv_norm if diagnostics is not None
+            else 1.0 / solver.sigma_max())
     if qinv >= 1.0:
         raise ValueError(
             f"||QH^-1|| = {qinv:.3e} >= 1: the accuracy bound's hypothesis "
             "fails and the condition number is undefined")
     m, p = sys.m, sys.p
-    solver = sys.gramian_solver()
     CC = kron(sys.C, sys.C)
     CC = CC.toarray() if sps.issparse(CC) else CC
     # base adjoint solves: K0[i] = row i of (C (x) C) G^{-1}

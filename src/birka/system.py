@@ -11,9 +11,10 @@ Every solve with the n^2-by-n^2 Gramian operator
 ``G = -A(x)I - I(x)A - sum_k N_k(x)N_k`` goes through one
 :class:`GramianSolver` per system: Bartels-Stewart on a real Schur factor
 of A for the Lyapunov part, plus a Sherman-Morrison-Woodbury correction
-over the columns the N_k touch for the bilinear part.  The assembled
-operator is kept only as a small-n test oracle and for the power
-iteration behind its largest singular value.
+over the columns the N_k touch for the bilinear part.  It also applies G
+matrix-free, so the extreme singular values of G come from Lanczos runs
+over its applies and solves, and the assembled operators are kept only
+as small-n test oracles.
 """
 
 import os
@@ -24,6 +25,7 @@ import scipy.io
 import scipy.linalg as spla
 import scipy.sparse as sps
 from scipy.linalg.lapack import dtrsyl
+from scipy.sparse.linalg import LinearOperator
 
 from . import linalg
 from .linalg import SingularMatrixError, kron, unvec, vec
@@ -102,8 +104,8 @@ class BilinearSystem:
 def gramian_operator(sys):
     """Assembled n^2-by-n^2 operator -A(x)I - I(x)A - sum_k N_k(x)N_k (sparse).
 
-    Solves with it go through :class:`GramianSolver`; the assembled form
-    serves the power iteration for its 2-norm and small-n test oracles.
+    A small-n test oracle: applies, solves and norms of this operator go
+    through :class:`GramianSolver`.
     """
     I = sps.identity(sys.n, format="csr")
     G = -kron(sys.A, I) - kron(I, sys.A)
@@ -112,8 +114,32 @@ def gramian_operator(sys):
     return G.tocsr()
 
 
+class _Lyapunov:
+    """L(X) = -(A X + X A^T) and its transpose, inverted by Bartels-Stewart
+    (``dtrsyl``) on one real Schur factor ``A = Z T Z^T``."""
+
+    def __init__(self, A):
+        self.T, self.Z = spla.schur(A, output="real")
+
+    def schur_solve(self, S, transpose):
+        """Y with T Y + Y T^T = -S, or T^T Y + Y T = -S if ``transpose``:
+        L^{-1} or L^{-T} in Schur coordinates."""
+        flags = ("T", "N") if transpose else ("N", "T")
+        Y, scale, info = dtrsyl(self.T, self.T, -S, *flags)
+        if info != 0:
+            raise SingularMatrixError(
+                "Lyapunov operator singular: two eigenvalues of A sum to zero")
+        return Y / scale
+
+    def solve(self, R, transpose=False):
+        """X with L(X) = R, or L^T(X) = R if ``transpose``."""
+        Z = self.Z
+        return Z @ self.schur_solve(Z.T @ R @ Z, transpose) @ Z.T
+
+
 class GramianSolver:
-    """Exact solves with the Gramian operator G and its transpose.
+    """Exact solves with the Gramian operator G and its transpose, and
+    matrix-free applies of both.
 
     On matrices, ``G(X) = L(X) - sum_k N_k X N_k^T`` with the Lyapunov
     part ``L(X) = -(A X + X A^T)``.  L is inverted by Bartels-Stewart
@@ -132,21 +158,22 @@ class GramianSolver:
 
     def __init__(self, sys):
         self.n = sys.n
-        self._T, self._Z = spla.schur(sys.A.toarray(), output="real")
+        self._A = sys.A
+        self._L = _Lyapunov(sys.A.toarray())
         # J: sorted union of the column indices where some N_k is nonzero
         J = np.unique(np.concatenate([Nk.indices for Nk in sys.N]
                                      + [np.zeros(0, dtype=int)]))
         self.support = J
         self._P = [Nk[:, J].toarray() for Nk in sys.N]
         j = J.size
-        ZJ = self._Z[J, :]
-        ZtP = [self._Z.T @ Pk for Pk in self._P]
+        ZJ = self._L.Z[J, :]
+        ZtP = [self._L.Z.T @ Pk for Pk in self._P]
         # M = V^T L^{-1} U, column a + j*b from the image of E_ab under U
         M = np.empty((j * j, j * j))
         for b in range(j):
             for a in range(j):
                 S = sum(np.outer(W[:, a], W[:, b]) for W in ZtP)
-                M[:, a + j * b] = vec(ZJ @ self._sylvester(S, False) @ ZJ.T)
+                M[:, a + j * b] = vec(ZJ @ self._L.schur_solve(S, False) @ ZJ.T)
         self._K_lu = spla.lu_factor(np.eye(j * j) - M, check_finite=False)
         # K = I - M: a pivot at roundoff of the two terms means G is singular
         pivot = np.abs(np.diag(self._K_lu[0])).min(initial=np.inf)
@@ -156,40 +183,51 @@ class GramianSolver:
                 f"numerically singular Gramian operator: capacitance pivot "
                 f"{pivot:.3e} below threshold {pivot_floor:.3e}")
 
-    def _sylvester(self, S, transpose):
-        """Y with T Y + Y T^T = -S, or T^T Y + Y T = -S if ``transpose``:
-        L^{-1} or L^{-T} in Schur coordinates."""
-        flags = ("T", "N") if transpose else ("N", "T")
-        Y, scale, info = dtrsyl(self._T, self._T, -S, *flags)
-        if info != 0:
-            raise SingularMatrixError(
-                "Lyapunov operator singular: two eigenvalues of A sum to zero")
-        return Y / scale
-
-    def _lyap(self, R, transpose):
-        Z = self._Z
-        return Z @ self._sylvester(Z.T @ R @ Z, transpose) @ Z.T
-
     def solve(self, rhs):
         """x with G x = rhs, for a length-n^2 vector."""
         n, J, j = self.n, self.support, self.support.size
-        X = self._lyap(unvec(rhs, n, n), transpose=False)
+        X = self._L.solve(unvec(rhs, n, n))
         if j:
             Y = unvec(spla.lu_solve(self._K_lu, vec(X[np.ix_(J, J)])), j, j)
-            X = X + self._lyap(sum(Pk @ Y @ Pk.T for Pk in self._P),
-                               transpose=False)
+            X = X + self._L.solve(sum(Pk @ Y @ Pk.T for Pk in self._P))
         return vec(X)
 
     def solve_transpose(self, rhs):
         """x with G^T x = rhs, for a length-n^2 vector."""
         n, J, j = self.n, self.support, self.support.size
-        X = self._lyap(unvec(rhs, n, n), transpose=True)
+        X = self._L.solve(unvec(rhs, n, n), transpose=True)
         if j:
             y = vec(sum(Pk.T @ X @ Pk for Pk in self._P))
             E = np.zeros((n, n))
             E[np.ix_(J, J)] = unvec(spla.lu_solve(self._K_lu, y, trans=1), j, j)
-            X = X + self._lyap(E, transpose=True)
+            X = X + self._L.solve(E, transpose=True)
         return vec(X)
+
+    def apply(self, x):
+        """G x for a length-n^2 vector, without assembling G."""
+        J, A = self.support, self._A
+        X = unvec(x, self.n, self.n)
+        XJ = X[np.ix_(J, J)]
+        return -vec(A @ X + (A @ X.T).T + sum(Pk @ XJ @ Pk.T for Pk in self._P))
+
+    def apply_transpose(self, x):
+        """G^T x for a length-n^2 vector, without assembling G."""
+        J, At = self.support, self._A.T
+        X = unvec(x, self.n, self.n)
+        Y = At @ X + (At @ X.T).T
+        Y[np.ix_(J, J)] += sum(Pk.T @ X @ Pk for Pk in self._P)
+        return -vec(Y)
+
+    def sigma_max(self):
+        """Largest singular value of G: Lanczos over the applies."""
+        return linalg.two_norm(self._operator(self.apply, self.apply_transpose))
+
+    def sigma_min(self):
+        """Smallest singular value of G: 1/||G^{-1}||_2 by Lanczos over the solves."""
+        return 1.0 / linalg.two_norm(self._operator(self.solve, self.solve_transpose))
+
+    def _operator(self, matvec, rmatvec):
+        return LinearOperator((self.n ** 2,) * 2, matvec, rmatvec, dtype=float)
 
 
 @dataclass
@@ -205,7 +243,8 @@ class QHatDiagnostics:
     smallest singular value, whose positivity certifies invertibility;
     ``lyapunov_symbol_sigma_min`` is the smallest singular value of the
     n-by-n symbol -A^T - A - sum_k N_k N_k^T, a cheap sufficient
-    invertibility check.
+    invertibility check.  The base singular values come from one Lanczos
+    run each (:func:`linalg.two_norm`), accurate to about 1e-12 relative.
     """
 
     qinv_norm: float
@@ -217,9 +256,8 @@ class QHatDiagnostics:
 def qhat_diagnostics(sys):
     """Invertibility/conditioning diagnostics for the error-system operator."""
     solver = sys.gramian_solver()
-    base_sigma_min = linalg.smallest_singular_value(
-        solver.solve, solver.solve_transpose, sys.n ** 2)
-    base_sigma_max = linalg.two_norm(gramian_operator(sys))
+    base_sigma_max = solver.sigma_max()
+    base_sigma_min = solver.sigma_min()
     symbol = (-sys.A.T - sys.A - sum(Nk @ Nk.T for Nk in sys.N)).toarray()
     sym_sigma_min = float(spla.svdvals(symbol)[-1])
     return QHatDiagnostics(
@@ -264,30 +302,36 @@ def h2_norm_kron(sys):
 def solve_generalized_lyapunov(sys, tol=1e-12, maxit=500):
     """Reachability Gramian P of A P + P A^T + sum_k N_k P N_k^T = -B B^T.
 
-    Runs the stationary iteration with standard-Lyapunov inner solves;
-    on divergence falls back to the direct Kronecker solve with the
-    system's :class:`GramianSolver`.  Returns ``(P, method)`` with method in
+    Runs the stationary iteration with Bartels-Stewart inner solves on one
+    Schur factor of A, until the residual is at most ``tol`` times the
+    norms of the terms it sums, ||B B^T|| + 2 ||A P|| + sum_k ||N_k P N_k^T||
+    (a backward error, whose roundoff floor does not grow with n); on
+    divergence falls back to the direct Kronecker solve with the system's
+    :class:`GramianSolver`.  Returns ``(P, method)`` with method in
     {"stationary", "kronecker"}.
     """
-    A, N, B, _ = sys.dense()
-    BBt = B @ B.T
-    rhs_norm = max(np.linalg.norm(BBt), 1.0)
-    P = np.zeros_like(A)
+    A, N = sys.A, sys.N
+    BBt = (sys.B @ sys.B.T).toarray()
+    bbt_norm = np.linalg.norm(BBt)
+    rhs_norm = max(bbt_norm, 1.0)
+    lyap = _Lyapunov(A.toarray())
+    NPN = []
     best_res = np.inf
     for _ in range(maxit):
-        Q = BBt + sum(Nk @ P @ Nk.T for Nk in N)
-        P_new = spla.solve_continuous_lyapunov(A, -Q)
-        P_new = 0.5 * (P_new + P_new.T)
-        res = np.linalg.norm(A @ P_new + P_new @ A.T
-                             + sum(Nk @ P_new @ Nk.T for Nk in N) + BBt)
-        if res <= tol * rhs_norm:
-            return P_new, "stationary"
+        P = lyap.solve(BBt + sum(NPN))
+        P = 0.5 * (P + P.T)
+        AP = A @ P
+        # P is symmetric, so N P N^T = N (N P)^T and P A^T = (A P)^T
+        NPN = [Nk @ (Nk @ P).T for Nk in N]
+        res = np.linalg.norm(AP + AP.T + sum(NPN) + BBt)
+        terms = bbt_norm + 2 * np.linalg.norm(AP) + sum(map(np.linalg.norm, NPN))
+        if res <= tol * terms:
+            return P, "stationary"
         # divergence (rho(L^{-1} Pi) >= 1) grows the residual by less than
         # tenfold per step, so it is measured against the best so far
         if not np.isfinite(res) or res > 10 * max(best_res, rhs_norm):
             break
         best_res = min(best_res, res)
-        P = P_new
     # divergent (spectral radius >= 1) or stagnating: direct solve
     P = unvec(sys.gramian_solver().solve(vec(BBt)), sys.n, sys.n)
     return 0.5 * (P + P.T), "kronecker"

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import birka.cli
 from birka.cli import main
-from birka.system import BilinearSystem
-from birka.models import HeatModelParams, build_heat_model
+from birka.system import BilinearSystem, qhat_diagnostics
+from birka.models import (FlowModelParams, HeatModelParams, build_flow_model,
+                          build_heat_model)
 
 
 class TestModelExport:
@@ -74,6 +76,24 @@ class TestReduce:
         summary = json.loads((tmp_path / "reduce" / "summary.json").read_text())
         assert summary["solver"] == "bicg"
         assert summary["final_reference_error"] is not None
+
+    def test_summary_needs_no_full_diagnostics(self, tmp_path, capsys,
+                                               monkeypatch):
+        def fail(sys):
+            raise AssertionError("qhat_diagnostics called")
+        monkeypatch.setattr(birka.cli, "qhat_diagnostics", fail)
+        code = main(["reduce", "--model", "flow", "--N", "3", "--r", "2",
+                     "--btol", "1e-4", "--max-outer", "40",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "reduce" / "summary.json").read_text())
+        assert sorted(summary) == [
+            "bicg_tol", "condition_number", "converged", "final_f_norm",
+            "final_reference_error", "h2_error", "h2_norm", "iterations",
+            "model", "n", "qinv_norm", "r", "solver"]
+        sys = build_flow_model(FlowModelParams(N=3))
+        assert summary["qinv_norm"] == pytest.approx(
+            qhat_diagnostics(sys).qinv_norm, rel=1e-12)
 
 
 class TestStabilityCommand:

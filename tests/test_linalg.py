@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spsla
 
 from birka.linalg import (ConvergenceError, SingularMatrixError, SparseLU,
-                          eig_dense, frobenius_norm, kron, norms, orth,
-                          smallest_singular_value,
-                          smallest_singular_value_sparse, sparse_lu_solve,
-                          two_norm, unvec, vec)
+                          eig_dense, frobenius_norm, kron, orth, two_norm,
+                          unvec, vec)
+from birka.models import FlowModelParams, build_flow_model
 
 
 class TestKron:
@@ -122,18 +122,39 @@ class TestOrth:
 
 class TestNorms:
     def test_diagonal(self):
-        out = norms(np.diag([3.0, 4.0]))
-        assert out["two_norm"] == pytest.approx(4.0)
-        assert out["frobenius_norm"] == pytest.approx(5.0)
+        M = np.diag([3.0, 4.0])
+        assert two_norm(M) == pytest.approx(4.0, rel=1e-15)
+        assert frobenius_norm(M) == pytest.approx(5.0, rel=1e-15)
 
     def test_zero(self):
-        out = norms(np.zeros((3, 3)))
-        assert out["two_norm"] == 0.0 and out["frobenius_norm"] == 0.0
+        assert two_norm(np.zeros((3, 3))) == 0.0
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
     def test_power_iteration_matches_svd(self, rng):
         M = sps.csr_matrix(rng.standard_normal((450, 450)))
         dense = np.linalg.norm(M.toarray(), 2)
-        assert two_norm(M, rel_tol=1e-10, maxit=5000) == pytest.approx(dense, rel=1e-4)
+        assert two_norm(M) == pytest.approx(dense, rel=1e-12)
+
+    def test_flow_drift_matches_dense(self):
+        # n = 420, sparse: a Lanczos run to dense-SVD accuracy
+        A = build_flow_model(FlowModelParams(N=20)).A
+        assert two_norm(A) == pytest.approx(np.linalg.norm(A.toarray(), 2),
+                                            rel=1e-12)
+
+    def test_matrix_free_operator(self, rng):
+        for d in (3, 40):      # below and above ARPACK's Krylov dimension
+            M = rng.standard_normal((d, d))
+            op = spsla.LinearOperator((d, d), matvec=lambda x: M @ x,
+                                      rmatvec=lambda x: M.T @ x, dtype=float)
+            assert two_norm(op) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+            assert two_norm(op) == two_norm(op)       # fixed start vector
+
+    def test_arpack_failure_is_convergence_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spsla.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(spsla, "svds", no_convergence)
+        with pytest.raises(ConvergenceError):
+            two_norm(sps.identity(10, format="csr"))
 
     def test_sparse_frobenius(self, rng):
         M = sps.random(30, 30, density=0.2, random_state=7)
@@ -143,16 +164,16 @@ class TestNorms:
 class TestSparseLU:
     def test_identity(self):
         rhs = np.arange(1.0, 5.0)
-        assert np.allclose(sparse_lu_solve(sps.identity(4, format="csr"), rhs), rhs)
+        assert np.allclose(SparseLU(sps.identity(4, format="csr")).solve(rhs), rhs)
 
     def test_diagonal(self):
         M = sps.diags([2.0, 4.0]).tocsr()
-        assert np.allclose(sparse_lu_solve(M, np.array([2.0, 8.0])), [1.0, 2.0])
+        assert np.allclose(SparseLU(M).solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_residual_on_random_system(self, rng):
         M = sps.random(50, 50, density=0.1, random_state=11).tocsr()
         M = M + 10.0 * sps.identity(50)
-        x = sparse_lu_solve(M, rng.standard_normal(50))
+        x = SparseLU(M).solve(rng.standard_normal(50))
         rhs = M @ x
         resid = np.linalg.norm(M @ x - rhs)
         assert resid <= 1e-12 * (frobenius_norm(M) * np.linalg.norm(x) + np.linalg.norm(rhs))
@@ -160,7 +181,7 @@ class TestSparseLU:
     def test_agrees_with_dense(self, rng):
         M = rng.standard_normal((40, 40)) + 8 * np.eye(40)
         rhs = rng.standard_normal(40)
-        x = sparse_lu_solve(sps.csr_matrix(M), rhs)
+        x = SparseLU(sps.csr_matrix(M)).solve(rhs)
         assert np.allclose(x, np.linalg.solve(M, rhs), rtol=1e-10)
 
     def test_singular_matrix_raises(self):
@@ -176,18 +197,27 @@ class TestSparseLU:
         assert np.allclose(M.T @ x, rhs, atol=1e-10)
 
 
+def smallest_singular_value(M):
+    """1/||M^{-1}||_2 by Lanczos over sparse LU solves, the route of
+    GramianSolver.sigma_min."""
+    lu = SparseLU(M)
+    inv = spsla.LinearOperator(M.shape, matvec=lu.solve,
+                               rmatvec=lu.solve_transpose, dtype=float)
+    return 1.0 / two_norm(inv)
+
+
 class TestSmallestSingularValue:
     def test_diagonal(self):
         M = sps.diags([1.0, 0.001]).tocsr()
-        assert smallest_singular_value_sparse(M) == pytest.approx(0.001, rel=1e-4)
+        assert smallest_singular_value(M) == pytest.approx(0.001, rel=1e-12)
 
     def test_orthogonal(self, rng):
         Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-        assert smallest_singular_value_sparse(sps.csr_matrix(Q)) == pytest.approx(1.0, rel=1e-4)
+        assert smallest_singular_value(sps.csr_matrix(Q)) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_dense_svd(self, rng):
         M = rng.standard_normal((30, 30)) + 3 * np.eye(30)
         expected = np.linalg.svd(M, compute_uv=False)[-1]
-        got = smallest_singular_value_sparse(sps.csr_matrix(M))
-        assert got == pytest.approx(expected, rel=1e-4)
-        assert got * np.linalg.norm(np.linalg.inv(M), 2) == pytest.approx(1.0, rel=1e-4)
+        got = smallest_singular_value(sps.csr_matrix(M))
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got * np.linalg.norm(np.linalg.inv(M), 2) == pytest.approx(1.0, rel=1e-12)

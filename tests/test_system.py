@@ -63,6 +63,27 @@ class TestGeneralizedLyapunov:
         resid = A @ P + P @ A.T + N @ P @ N.T + B @ B.T
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(B @ B.T)
 
+    def test_flow_n18_stays_stationary(self, monkeypatch):
+        # n = 342: the residual's roundoff floor there (1.3e-12 ||B B^T||)
+        # lies above a test scaled by ||B B^T|| alone
+        schur_calls = []
+        schur = birka.system.spla.schur
+
+        def counting_schur(*args, **kwargs):
+            schur_calls.append(1)
+            return schur(*args, **kwargs)
+        monkeypatch.setattr(birka.system.spla, "schur", counting_schur)
+        sys = build_flow_model(FlowModelParams(N=18))
+        P, method = solve_generalized_lyapunov(sys)
+        assert method == "stationary"
+        assert sys._gramian_solver is None and len(schur_calls) == 1
+        A, N, B, _ = sys.dense()
+        AP, NPN = A @ P, [Nk @ P @ Nk.T for Nk in N]
+        terms = (np.linalg.norm(B @ B.T) + 2 * np.linalg.norm(AP)
+                 + sum(np.linalg.norm(X) for X in NPN))
+        resid = AP + P @ A.T + sum(NPN) + B @ B.T
+        assert np.linalg.norm(resid) <= 1e-12 * terms
+
     def test_residual_and_symmetry(self, rng):
         sys = random_stable_system(rng, 8, m=1, p=2)
         P, _ = solve_generalized_lyapunov(sys)
@@ -96,6 +117,16 @@ class TestGramianSolver:
         for got, want in ((solver.solve(b), lu.solve(b)),
                           (solver.solve_transpose(b), lu.solve_transpose(b))):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sys", [case[1] for case in ORACLE_CASES],
+                             ids=[case[0] for case in ORACLE_CASES])
+    def test_apply_matches_assembled(self, sys, rng):
+        solver = GramianSolver(sys)
+        G = gramian_operator(sys)
+        x = rng.standard_normal(sys.n ** 2)
+        for got, want in ((solver.apply(x), G @ x),
+                          (solver.apply_transpose(x), G.T @ x)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_bilinear_term_cancels_lyapunov_part(self):
         # G = 2 - n1^2 = 0
@@ -171,7 +202,33 @@ class TestErrorSystem:
         assert h2_error(s1, s2) == pytest.approx(np.sqrt(max(val, 0.0)), rel=1e-12)
 
 
+SVD_CASES = [
+    ("scalar", scalar_system()),
+    ("flow N=3", _FLOW3),
+    ("heat K=5", build_heat_model(HeatModelParams(K=5))),
+    ("heat K=6", build_heat_model(HeatModelParams(K=6))),
+]
+
+
 class TestQhatDiagnostics:
+    @pytest.mark.parametrize("sys", [case[1] for case in SVD_CASES],
+                             ids=[case[0] for case in SVD_CASES])
+    def test_sigmas_match_dense_svd(self, sys):
+        sv = np.linalg.svd(gramian_operator(sys).toarray(), compute_uv=False)
+        diag = qhat_diagnostics(sys)
+        assert diag.base_sigma_max == pytest.approx(sv[0], rel=1e-10)
+        assert diag.base_sigma_min == pytest.approx(sv[-1], rel=1e-10)
+        assert diag.qinv_norm == pytest.approx(1.0 / sv[0], rel=1e-10)
+
+    def test_condition_number_reads_only_sigma_max(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("sigma_min computed")
+        monkeypatch.setattr(birka.system.GramianSolver, "sigma_min", fail)
+        sys = build_flow_model(FlowModelParams(N=3))
+        _, factors = condition_number(sys, return_factors=True)
+        assert factors["qinv_norm"] == pytest.approx(
+            1.0 / sys.gramian_solver().sigma_max(), rel=1e-15)
+
     def test_scalar(self):
         diag = qhat_diagnostics(scalar_system())
         assert diag.base_sigma_min == pytest.approx(2.0, rel=1e-4)
