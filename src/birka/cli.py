@@ -24,8 +24,9 @@ import sys as _sys
 import warnings
 
 import numpy as np
+import scipy.sparse.linalg as spsla
 
-from .linalg import ConvergenceError, SingularMatrixError
+from .linalg import ConvergenceError
 from .models import (FlowModelParams, HeatModelParams, build_flow_model,
                      build_heat_model)
 from .reduction import (BirkaConfig, initialize_guess, run_birka,
@@ -63,18 +64,18 @@ def _build_model(args):
     return BilinearSystem.load(args.path)
 
 
-def _birka_config(args, tol=None, seed=None, r=None):
+def _birka_config(args, solver, tol, seed, r):
     return BirkaConfig(
-        r=args.r if r is None else r,
+        r=r,
         btol=args.btol,
         max_outer=args.max_outer,
-        solver_mode=args.solver,
-        bicg_tol=args.tol if tol is None else tol,
+        solver_mode=solver,
+        bicg_tol=tol,
         bicg_maxit=args.maxit,
         precond_drop_tol=args.drop_tol,
-        seed=args.seed if seed is None else seed,
+        seed=seed,
         capture_bases=True,
-        reference_error=args.solver == "bicg",
+        reference_error=solver == "bicg",
     )
 
 
@@ -90,7 +91,7 @@ def cmd_reduce(args):
         raise ValueError(f"reduced order r={args.r} must be < n={sys_full.n}")
     out = os.path.join(args.out or _output_root(), "reduce")
     os.makedirs(out, exist_ok=True)
-    config = _birka_config(args)
+    config = _birka_config(args, args.solver, args.tol, args.seed, args.r)
     result = run_birka(sys_full, config)
     result.save(out)
     reports = [analyze_iteration(sys_full, rec, compute_fhh=args.fhh)
@@ -117,9 +118,19 @@ def cmd_reduce(args):
 
 
 def _six_smallest_eigs(sys_full, guess):
-    """Six smallest-magnitude eigenvalues of the assembled sieve operator."""
-    op = sieve_operator(sys_full, guess)[0]
-    w = np.linalg.eigvals(op.assemble().toarray())
+    """Six smallest-magnitude eigenvalues of the assembled sieve operator.
+
+    Shift-invert Arnoldi about 0 (ARPACK ``eigs``, one sparse LU) from a
+    fixed start vector, so results repeat; an operator of order at most 7,
+    too small for ARPACK's k < order - 1, is read densely.
+    """
+    M = sieve_operator(sys_full, guess)[0].assemble()
+    if M.shape[0] > 7:
+        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
+        w = spsla.eigs(M.tocsc(), k=6, sigma=0, v0=v0,
+                       return_eigenvectors=False)
+    else:
+        w = np.linalg.eigvals(M.toarray())
     return w[np.argsort(np.abs(w))][:6]
 
 
@@ -137,7 +148,7 @@ def cmd_experiment(args):
         for tol in tols:
             cell = os.path.join(out, f"seed{seed}_tol{tol:g}")
             try:
-                config = _birka_config(args, tol=tol, seed=seed)
+                config = _birka_config(args, "bicg", tol, seed, args.r)
                 result = run_birka(sys_full, config)
                 result.save(cell)
                 for rec in result.history:
@@ -151,14 +162,14 @@ def cmd_experiment(args):
                     table2_rows.append([seed, tol, rec.iteration, rep.rb_norm,
                                         rep.rc_norm, rep.wtv_inv_wt_frob,
                                         rep.f_norm2, rep.thm_bound])
-                if seed == seeds[0] and sys_full.n * args.r <= 2000:
+                if seed == seeds[0]:
                     guess0 = initialize_guess(seed, args.r, sys_full.m, sys_full.p)
                     for tag, g in (("first", guess0), ("converged", result.reduced)):
                         for idx, lam in enumerate(
                                 _six_smallest_eigs(sys_full, g)):
                             fig3_rows.append([seed, tol, tag, idx,
                                               lam.real, lam.imag])
-            except (SingularMatrixError, ConvergenceError, ValueError) as exc:
+            except (np.linalg.LinAlgError, ConvergenceError, ValueError) as exc:
                 failures.append({"seed": seed, "tol": tol, "error": str(exc)})
     _write_rows(os.path.join(out, "fig1.csv"),
                 ["seed", "bicg_tol", "iteration", "h2_error_vs_exact_step"],
@@ -176,7 +187,7 @@ def cmd_experiment(args):
         rows = []
         for r in (int(x) for x in args.rs.split(",") if x):
             for seed in seeds:
-                config = _birka_config(args, tol=tols[0], seed=seed, r=r)
+                config = _birka_config(args, "bicg", tols[0], seed, r)
                 result = run_birka(sys_full, config)
                 rep = analyze_iteration(sys_full, result.history[-1],
                                         compute_fhh=False)
@@ -264,12 +275,13 @@ def build_parser():
     p_red.add_argument("--out", default=None)
     p_red.set_defaults(func=cmd_reduce)
 
-    p_exp = sub.add_parser("experiment", help="tolerance/seed sweep")
+    # no abbreviations: --tol and --seed must not pass for --tols and --seeds
+    p_exp = sub.add_parser("experiment", help="tolerance/seed sweep",
+                           allow_abbrev=False)
     _add_model_args(p_exp)
     p_exp.add_argument("--r", type=int, required=True)
     p_exp.add_argument("--btol", type=float, default=1e-6)
     p_exp.add_argument("--max-outer", type=int, default=100)
-    p_exp.add_argument("--solver", choices=["bicg"], default="bicg")
     p_exp.add_argument("--tols", default="1e-2,1e-8",
                        help="comma-separated BiCG tolerances")
     p_exp.add_argument("--seeds", default="0", help="comma-separated seeds")
@@ -278,8 +290,6 @@ def build_parser():
                             "sensitivity table")
     p_exp.add_argument("--maxit", type=int, default=None)
     p_exp.add_argument("--drop-tol", type=float, default=None)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--tol", type=float, default=1e-8)
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -311,14 +321,15 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except (ValueError,) as exc:
-        print(json.dumps({"error": str(exc), "kind": "validation"}),
-              file=_sys.stderr)
-        return 1
-    except (SingularMatrixError, ConvergenceError, np.linalg.LinAlgError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": str(exc), "kind": "numerical"}),
               file=_sys.stderr)
         return 2
+    except ValueError as exc:
+        print(json.dumps({"error": str(exc), "kind": "validation"}),
+              file=_sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

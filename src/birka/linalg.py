@@ -82,12 +82,13 @@ def eig_dense(M):
     return EigenDecomposition(w, R, ill_conditioned=not np.isfinite(cond) or cond > 1e12)
 
 
-def orth(M, rank_tol=None):
+def orth(M):
     """Orthonormal basis of the column span of M.
 
     Full-rank input yields the Q factor of an (unpivoted) QR so that
     ``M = orth(M) @ Z`` with Z triangular; rank-deficient input falls
-    back to an SVD basis of the detected numerical rank.  A zero input
+    back to an SVD basis of the numerical rank, the number of singular
+    values above max(n, r) * EPS times the largest.  A zero input
     gives an n-by-0 result.
     """
     M = np.asarray(M)
@@ -97,9 +98,7 @@ def orth(M, rank_tol=None):
     sv = spla.svdvals(M) if min(n, r) > 0 else np.array([])
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((n, 0), dtype=M.dtype)
-    if rank_tol is None:
-        rank_tol = max(n, r) * EPS * sv[0]
-    q = int(np.count_nonzero(sv > rank_tol))
+    q = int(np.count_nonzero(sv > max(n, r) * EPS * sv[0]))
     if q == r:
         Q, _ = np.linalg.qr(M)
         return Q

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, eig_dense, oblique_gram, orth, vec
+from .linalg import SingularMatrixError, eig_dense, orth, vec
 from .solvers import KroneckerOperator, bicg_dual_solve, build_ilut, direct_solve
 from .system import BilinearSystem, h2_error
+
+# Relative imaginary part at or below which an eigenvalue counts as real,
+# and the relative distance within which two eigenvalues are conjugates.
+REAL_TOL = 1e-8
 
 
 @dataclass
@@ -125,7 +129,7 @@ def initialize_guess(seed, r, m, p):
     return BilinearSystem(A, N, B, C, label=f"guess(seed={seed},r={r})")
 
 
-def realify_rotation(eigenvalues, tol=1e-8):
+def realify_rotation(eigenvalues):
     """Unitary U that turns a conjugation-closed eigenbasis into a real one.
 
     A real eigenvalue keeps its column (U is the identity there).  Each
@@ -134,7 +138,7 @@ def realify_rotation(eigenvalues, tol=1e-8):
     so that U^H diag(eigenvalues) U is real with the 2-by-2 block
     [[Re lambda_i, Im lambda_i], [-Im lambda_i, Re lambda_i]], and R U is
     real for eigenvectors with r_j = conj(r_i).  An eigenvalue is real
-    when its imaginary part is at most ``tol`` relative, and a partner
+    when its imaginary part is at most ``REAL_TOL`` relative, and a partner
     must match the conjugate to the same tolerance.  A complex eigenvalue
     without a partner keeps its column with a warning; its imaginary part
     is lost when the rotated quantities are taken real.
@@ -148,7 +152,7 @@ def realify_rotation(eigenvalues, tol=1e-8):
         if used[i]:
             continue
         used[i] = True
-        scale = tol * max(abs(lam[i]), 1.0)
+        scale = REAL_TOL * max(abs(lam[i]), 1.0)
         if abs(lam[i].imag) <= scale:
             continue
         candidates = [j for j in range(i + 1, q) if not used[j]]
@@ -221,16 +225,6 @@ def _orth_with_residual(solution, residual):
     return Q, np.linalg.solve(Z.T, residual.T).T
 
 
-def _project(sys, V_r, W_r):
-    """Oblique Petrov-Galerkin projection of the full model onto (V_r, W_r)."""
-    WtV = oblique_gram(W_r, V_r)
-    A_r = np.linalg.solve(WtV, W_r.T @ (sys.A @ V_r))
-    N_r = [np.linalg.solve(WtV, W_r.T @ (Nk @ V_r)) for Nk in sys.N]
-    B_r = np.linalg.solve(WtV, W_r.T @ sys.B.toarray())
-    C_r = sys.C @ V_r
-    return BilinearSystem(A_r, N_r, B_r, np.asarray(C_r), label=sys.label + ":reduced")
-
-
 def birka_step(sys, guess, config):
     """One sweep: set up the real sieve pair, solve it, project.
 
@@ -251,7 +245,7 @@ def birka_step(sys, guess, config):
 
     V_r, RB_orth = _orth_with_residual(rep_p.solution, rep_p.residual)
     W_r, RC_orth = _orth_with_residual(rep_d.solution, rep_d.residual)
-    new_guess = _project(sys, V_r, W_r)
+    new_guess = sys.project(V_r, W_r)
     record = IterationRecord(
         iteration=0, eigenvalues=eigenvalues, relative_change=np.nan,
         report_primal=rep_p, report_dual=rep_d,

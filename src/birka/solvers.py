@@ -23,6 +23,14 @@ import scipy.sparse.linalg as spsla
 from .linalg import (ConvergenceError, SingularMatrixError, SparseLU,
                      frobenius_norm, unvec, vec)
 
+# Coupled BiCG: a pairing scalar at most BICG_BREAKDOWN times the product
+# of the norms it pairs is a bi-orthogonality breakdown, and a restart
+# nudges the dual iterate with draws from a generator seeded BICG_SEED.
+BICG_BREAKDOWN = 1e-14
+BICG_SEED = 1234
+# Threshold ILU: fill ratio bound nnz(L + U) / nnz(M) passed to spilu.
+ILU_FILL = 10.0
+
 
 class KroneckerOperator:
     """Matrix-free M = -S^T (x) I_n - I_r (x) A - sum_k NCheck_k^T (x) N_k.
@@ -49,9 +57,7 @@ class KroneckerOperator:
         Lambda = np.asarray(Lambda)
         if Lambda.ndim <= 1:
             Lambda = Lambda.reshape(-1)
-            S, spectrum = np.diag(Lambda), Lambda
-        else:
-            S, spectrum = Lambda, np.linalg.eigvals(Lambda)
+        S = np.diag(Lambda) if Lambda.ndim == 1 else Lambda
         r = S.shape[0]
         if S.shape != (r, r):
             raise ValueError("S must be r-by-r")
@@ -61,9 +67,6 @@ class KroneckerOperator:
         for Nc in NCheckCheck:
             if Nc.shape != (r, r):
                 raise ValueError("each NCheck_k must be r-by-r")
-        if np.any(spectrum.real >= 0):
-            warnings.warn("reduced eigenvalues with nonnegative real part",
-                          RuntimeWarning, stacklevel=2)
         self.Lambda = Lambda
         self.S = S
         self.rotation = rotation
@@ -228,20 +231,18 @@ class IlutPreconditioner:
         return base if self.shift == 0.0 else base + f"+shift({self.shift:.3e})"
 
 
-def build_ilut(op, drop_tol, fill_factor=10.0):
-    """Threshold ILU of the assembled operator, with diagonal-shift retries.
+def build_ilut(op, drop_tol):
+    """Threshold ILU of an assembled :class:`KroneckerOperator`, with
+    diagonal-shift retries.
 
     A sieve operator with a ``rotation`` is factored in its complex
     eigenbasis (see :class:`IlutPreconditioner`).  A zero (or unusably
     small) pivot triggers a retry on the shifted matrix M + s*I with
     s = 1e-8 * ||M||_F, doubling s each attempt, at most 3 attempts.
     """
-    rotation = op.rotation if isinstance(op, KroneckerOperator) else None
-    if rotation is not None:
-        M = op.assemble_eigenbasis()
-    else:
-        M = op.assemble() if isinstance(op, KroneckerOperator) else op
-    M = sps.csc_matrix(M)
+    rotation = op.rotation
+    M = sps.csc_matrix(op.assemble() if rotation is None
+                       else op.assemble_eigenbasis())
     shift = 0.0
     step = 1e-8 * frobenius_norm(M)
     last_exc = None
@@ -249,7 +250,7 @@ def build_ilut(op, drop_tol, fill_factor=10.0):
         try:
             ilu = spsla.spilu(M + shift * sps.identity(M.shape[0], dtype=M.dtype, format="csc")
                               if shift else M,
-                              drop_tol=drop_tol, fill_factor=fill_factor)
+                              drop_tol, ILU_FILL)
             return IlutPreconditioner(ilu, drop_tol, shift, rotation)
         except RuntimeError as exc:
             last_exc = exc
@@ -258,8 +259,12 @@ def build_ilut(op, drop_tol, fill_factor=10.0):
         f"incomplete LU failed even with diagonal shifts: {last_exc}")
 
 
-def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None,
-                    breakdown_tol=1e-14, seed=1234):
+def _breaks_down(pairing, u, v):
+    """True if the pairing scalar u.v is at roundoff of ||u|| ||v||."""
+    return abs(pairing) <= BICG_BREAKDOWN * max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
+
+
+def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None):
     """Coupled two-sided BiCG for M x = b and M^T xhat = c.
 
     One BiCG recurrence advances both sides: the shadow sequence of the
@@ -267,10 +272,10 @@ def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None,
     the primal and dual Krylov spaces are built bi-orthogonally paired
     (all inner products are unconjugated bilinear forms).  With an
     optional preconditioner K, the primal side uses K^{-1} and the dual
-    side K^{-T}.  On a bi-orthogonality breakdown the iteration restarts
-    from the current iterates (re-deriving both residuals and, if the
-    pairing scalar is still degenerate, perturbing the dual iterate), at
-    most 3 times.
+    side K^{-T}.  On a bi-orthogonality breakdown, of the initial pairing
+    or inside the recurrence, the iteration restarts from the current
+    iterates (nudging the dual iterate so the pairing scalar of the new
+    exact residual pair is no longer degenerate), at most 3 times.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
@@ -286,7 +291,7 @@ def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None,
     xhat = np.zeros_like(c, dtype=dtype)
     r = b.astype(dtype)
     rhat = c.astype(dtype)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BICG_SEED)
 
     def prec(v):
         return precond.solve(v) if precond is not None else v
@@ -303,69 +308,55 @@ def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None,
         z = prec(r)
         zhat = prec_t(rhat)
         rho = np.dot(rhat, z)
-        scale = np.linalg.norm(rhat) * np.linalg.norm(z)
-        if abs(rho) <= breakdown_tol * max(scale, 1e-300):
-            if restarts >= 3:
-                raise ConvergenceError(
-                    "BiCG bi-orthogonality breakdown persisted through 3 restarts")
-            restarts += 1
-            # restart from the current iterates; if the pairing scalar is
-            # still degenerate, nudge the dual iterate so the new exact
-            # residual pair is no longer bi-orthogonal
-            xhat = xhat + 1e-10 * max(np.linalg.norm(xhat), 1.0) * rng.standard_normal(xhat.shape)
-            r = b - op.apply(x)
-            rhat = c - op.apply_transpose(xhat)
-            continue
-        p = z.copy()
-        phat = zhat.copy()
-        broke = False
-        while it < maxit:
-            q = op.apply(p)
-            qhat = op.apply_transpose(phat)
-            sigma = np.dot(phat, q)
-            if abs(sigma) <= breakdown_tol * max(
-                    np.linalg.norm(phat) * np.linalg.norm(q), 1e-300):
-                broke = True
+        if not _breaks_down(rho, rhat, z):
+            p = z.copy()
+            phat = zhat.copy()
+            while it < maxit:
+                q = op.apply(p)
+                qhat = op.apply_transpose(phat)
+                sigma = np.dot(phat, q)
+                if _breaks_down(sigma, phat, q):
+                    break
+                alpha = rho / sigma
+                x = x + alpha * p
+                xhat = xhat + alpha * phat
+                r = r - alpha * q
+                rhat = rhat - alpha * qhat
+                it += 1
+                res_p = float(np.linalg.norm(r) / nb)
+                res_d = float(np.linalg.norm(rhat) / nc)
+                hist_p.append(res_p)
+                hist_d.append(res_d)
+                if len(hist_p) > 51:
+                    prev = max(hist_p[-51], hist_d[-51])
+                    cur = max(res_p, res_d)
+                    stagnated = prev > 0 and (prev - cur) < 1e-3 * prev
+                if res_p <= tol and res_d <= tol:
+                    return _finalize_pair(op, b, c, x, xhat, it, hist_p, hist_d,
+                                          tol, "bicg",
+                                          precond.describe() if precond else "none",
+                                          True, True, stagnated, restarts)
+                z = prec(r)
+                zhat = prec_t(rhat)
+                rho_new = np.dot(rhat, z)
+                if _breaks_down(rho_new, rhat, z):
+                    break
+                beta = rho_new / rho
+                rho = rho_new
+                p = z + beta * p
+                phat = zhat + beta * phat
+            else:   # the budget ran out without a breakdown
                 break
-            alpha = rho / sigma
-            x = x + alpha * p
-            xhat = xhat + alpha * phat
-            r = r - alpha * q
-            rhat = rhat - alpha * qhat
-            it += 1
-            res_p = float(np.linalg.norm(r) / nb)
-            res_d = float(np.linalg.norm(rhat) / nc)
-            hist_p.append(res_p)
-            hist_d.append(res_d)
-            if len(hist_p) > 51:
-                prev = max(hist_p[-51], hist_d[-51])
-                cur = max(res_p, res_d)
-                stagnated = prev > 0 and (prev - cur) < 1e-3 * prev
-            if res_p <= tol and res_d <= tol:
-                return _finalize_pair(op, b, c, x, xhat, it, hist_p, hist_d,
-                                      tol, "bicg",
-                                      precond.describe() if precond else "none",
-                                      True, True, stagnated, restarts)
-            z = prec(r)
-            zhat = prec_t(rhat)
-            rho_new = np.dot(rhat, z)
-            scale = np.linalg.norm(rhat) * np.linalg.norm(z)
-            if abs(rho_new) <= breakdown_tol * max(scale, 1e-300):
-                broke = True
-                break
-            beta = rho_new / rho
-            rho = rho_new
-            p = z + beta * p
-            phat = zhat + beta * phat
-        if broke:
-            if restarts >= 3:
-                raise ConvergenceError(
-                    "BiCG bi-orthogonality breakdown persisted through 3 restarts")
-            restarts += 1
-            xhat = xhat + 1e-10 * max(np.linalg.norm(xhat), 1.0) * rng.standard_normal(xhat.shape)
-            r = b - op.apply(x)
-            rhat = c - op.apply_transpose(xhat)
-            continue
+        # bi-orthogonality breakdown: restart from the current iterates,
+        # nudging the dual one so the new exact residual pair is no longer
+        # bi-orthogonal
+        if restarts >= 3:
+            raise ConvergenceError(
+                "BiCG bi-orthogonality breakdown persisted through 3 restarts")
+        restarts += 1
+        xhat = xhat + 1e-10 * max(np.linalg.norm(xhat), 1.0) * rng.standard_normal(xhat.shape)
+        r = b - op.apply(x)
+        rhat = c - op.apply_transpose(xhat)
     conv_p = hist_p[-1] <= tol
     conv_d = hist_d[-1] <= tol
     warnings.warn(f"BiCG hit maxit={maxit} with residuals "

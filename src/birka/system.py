@@ -28,7 +28,12 @@ from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import LinearOperator
 
 from . import linalg
-from .linalg import SingularMatrixError, kron, unvec, vec
+from .linalg import SingularMatrixError, kron, oblique_gram, unvec, vec
+
+# Stationary generalized-Lyapunov iteration: the backward error at which
+# it stops, and its step budget before the Kronecker fallback.
+LYAP_TOL = 1e-12
+LYAP_MAXIT = 500
 
 
 class BilinearSystem:
@@ -61,6 +66,19 @@ class BilinearSystem:
         if self._gramian_solver is None:
             self._gramian_solver = GramianSolver(self)
         return self._gramian_solver
+
+    def project(self, V, W):
+        """Oblique Petrov-Galerkin projection onto the trial and test bases
+        (V, W): the reduced model with T = (W^T V)^{-1} and matrices
+        T W^T A V, T W^T N_k V, T W^T B and C V.  Raises
+        :class:`SingularMatrixError` if W^T V is numerically singular."""
+        WtV = oblique_gram(W, V)
+        A_r = np.linalg.solve(WtV, W.T @ (self.A @ V))
+        N_r = [np.linalg.solve(WtV, W.T @ (Nk @ V)) for Nk in self.N]
+        B_r = np.linalg.solve(WtV, W.T @ self.B.toarray())
+        C_r = self.C @ V
+        return BilinearSystem(A_r, N_r, B_r, np.asarray(C_r),
+                              label=self.label + ":reduced")
 
     def is_stable(self):
         """True iff every eigenvalue of A has negative real part."""
@@ -281,29 +299,37 @@ def assemble_qhat(sys):
     return Q
 
 
+def _h2_from_square(val):
+    """The H2 norm from its square; a square negative beyond roundoff
+    (an unstable system, or one without an H2 norm) raises
+    ``np.linalg.LinAlgError``."""
+    if val < -1e-12 * max(1.0, abs(val)):
+        raise np.linalg.LinAlgError(
+            f"negative H2 norm-square {val:.3e}: system unstable or "
+            "Gramian assumption violated")
+    return float(np.sqrt(max(val, 0.0)))
+
+
 def h2_norm_kron(sys):
     """H2 norm via the Kronecker quadratic form vec(I)^T (C(x)C) G^{-1}
     (B(x)B) vec(I), with the solve by the system's :class:`GramianSolver`.
 
     Raises :class:`SingularMatrixError` on a singular operator and
-    ``ValueError`` if the norm-square comes out negative beyond roundoff.
+    ``np.linalg.LinAlgError`` if the norm-square comes out negative beyond
+    roundoff.
     """
     if sys.C.nnz == 0 or sys.B.nnz == 0:
         return 0.0
     rhs = kron(sys.B, sys.B) @ vec(np.eye(sys.m))
     x = sys.gramian_solver().solve(rhs)
-    val = float(vec(np.eye(sys.p)) @ (kron(sys.C, sys.C) @ x))
-    if val < -1e-12 * max(1.0, abs(val)):
-        raise ValueError(f"negative H2 norm-square {val:.3e}: system unstable "
-                         "or Gramian assumption violated")
-    return float(np.sqrt(max(val, 0.0)))
+    return _h2_from_square(float(vec(np.eye(sys.p)) @ (kron(sys.C, sys.C) @ x)))
 
 
-def solve_generalized_lyapunov(sys, tol=1e-12, maxit=500):
+def solve_generalized_lyapunov(sys):
     """Reachability Gramian P of A P + P A^T + sum_k N_k P N_k^T = -B B^T.
 
     Runs the stationary iteration with Bartels-Stewart inner solves on one
-    Schur factor of A, until the residual is at most ``tol`` times the
+    Schur factor of A, until the residual is at most ``LYAP_TOL`` times the
     norms of the terms it sums, ||B B^T|| + 2 ||A P|| + sum_k ||N_k P N_k^T||
     (a backward error, whose roundoff floor does not grow with n); on
     divergence falls back to the direct Kronecker solve with the system's
@@ -317,7 +343,7 @@ def solve_generalized_lyapunov(sys, tol=1e-12, maxit=500):
     lyap = _Lyapunov(A.toarray())
     NPN = []
     best_res = np.inf
-    for _ in range(maxit):
+    for _ in range(LYAP_MAXIT):
         P = lyap.solve(BBt + sum(NPN))
         P = 0.5 * (P + P.T)
         AP = A @ P
@@ -325,7 +351,7 @@ def solve_generalized_lyapunov(sys, tol=1e-12, maxit=500):
         NPN = [Nk @ (Nk @ P).T for Nk in N]
         res = np.linalg.norm(AP + AP.T + sum(NPN) + BBt)
         terms = bbt_norm + 2 * np.linalg.norm(AP) + sum(map(np.linalg.norm, NPN))
-        if res <= tol * terms:
+        if res <= LYAP_TOL * terms:
             return P, "stationary"
         # divergence (rho(L^{-1} Pi) >= 1) grows the residual by less than
         # tenfold per step, so it is measured against the best so far
@@ -343,10 +369,7 @@ def h2_norm_lyap(sys):
         return 0.0
     P, _ = solve_generalized_lyapunov(sys)
     C = sys.C.toarray()
-    val = float(np.trace(C @ P @ C.T))
-    if val < -1e-12 * max(1.0, abs(val)):
-        raise ValueError(f"negative H2 norm-square {val:.3e}")
-    return float(np.sqrt(max(val, 0.0)))
+    return _h2_from_square(float(np.trace(C @ P @ C.T)))
 
 
 def error_system(sys1, sys2):

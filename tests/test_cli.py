@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import birka.cli
+import birka.system
 from birka.cli import main
+from birka.reduction import initialize_guess
 from birka.system import BilinearSystem, qhat_diagnostics
 from birka.models import (FlowModelParams, HeatModelParams, build_flow_model,
                           build_heat_model)
@@ -29,12 +31,32 @@ class TestModelExport:
 
 
 class TestH2Norm:
-    def test_both_routes_agree(self, capsys):
-        assert main(["h2norm", "--model", "heat", "--K", "10",
-                     "--method", "both"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["h2_norm_kron"] == pytest.approx(
-            payload["h2_norm_lyap"], rel=1e-8)
+    def test_both_routes_agree(self, capsys, monkeypatch):
+        # heat K=10 has rho(L^-1 Pi) = 1.76, so the Gramian route falls
+        # back to the Kronecker solve; flow N=8 runs the stationary route
+        routes = []
+        solve = birka.system.solve_generalized_lyapunov
+
+        def recording(sys):
+            P, method = solve(sys)
+            routes.append(method)
+            return P, method
+        monkeypatch.setattr(birka.system, "solve_generalized_lyapunov", recording)
+        for model, route in ((["heat", "--K", "10"], "kronecker"),
+                             (["flow", "--N", "8"], "stationary")):
+            assert main(["h2norm", "--model", *model, "--method", "both"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["h2_norm_kron"] == pytest.approx(
+                payload["h2_norm_lyap"], rel=1e-8)
+            assert routes.pop() == route
+
+    def test_negative_norm_square_is_numerical_failure(self, capsys):
+        # heat K=7: rho(L^-1 Pi) = 1.54 and the quadratic form is negative
+        assert main(["h2norm", "--model", "heat", "--K", "7",
+                     "--method", "kron"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert "negative H2 norm-square" in err["error"]
 
     def test_file_model(self, tmp_path, capsys):
         out = tmp_path / "m"
@@ -112,6 +134,39 @@ class TestExperiment:
         code = main(["experiment", "--model", "heat", "--K", "4", "--r", "2",
                      "--tols", "", "--seeds", "0", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys):
+        # each cell takes its tolerance from --tols and its seed from --seeds
+        for flag in (["--tol", "1e-6"], ["--seed", "3"], ["--solver", "bicg"]):
+            code = main(["experiment", "--model", "heat", "--K", "4", "--r", "2",
+                         "--tols", "1e-6", "--seeds", "0", *flag,
+                         "--out", str(tmp_path)])
+            assert code == 1
+        assert not (tmp_path / "experiment").exists()
+
+    def test_fig3_above_old_size_cutoff(self, tmp_path, capsys):
+        # n*r = 2100: diagonal A and N = 0 give the sieve eigenvalues
+        # -(lambda_i(A_r) + mu_j(A)) in closed form
+        n, r = 350, 6
+        rng = np.random.default_rng(3)
+        mu = -np.linspace(1.0, 40.0, n)
+        model = tmp_path / "diag"
+        BilinearSystem(np.diag(mu), [np.zeros((n, n))], rng.standard_normal((n, 1)),
+                       rng.standard_normal((1, n))).save(model)
+        code = main(["experiment", "--model", "file", "--path", str(model),
+                     "--r", str(r), "--tols", "1e-6", "--seeds", "0",
+                     "--max-outer", "2", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "experiment" / "fig3.csv").read_text().strip().splitlines()[1:]
+        first = [complex(float(re), float(im)) for *_, stage, _, re, im in
+                 (row.split(",") for row in rows) if stage == "first"]
+        assert len(rows) == 12 and len(first) == 6
+        lam = np.linalg.eigvals(initialize_guess(0, r, 1, 1).A.toarray())
+        want = -(lam[:, None] + mu[None, :]).ravel()
+        want = want[np.argsort(np.abs(want))][:6]
+        assert np.allclose(np.abs(first), np.abs(want), rtol=1e-10, atol=0)
+        for got in first:
+            assert np.min(np.abs(want - got)) <= 1e-10 * abs(got)
 
     def test_small_sweep_artifacts(self, tmp_path, capsys):
         code = main(["experiment", "--model", "heat", "--K", "4", "--r", "2",

@@ -71,9 +71,13 @@ class TestKroneckerOperator:
             KroneckerOperator(np.array([-1.0]), [np.zeros((2, 2))], sys)
 
     def test_unstable_lambda_warns(self):
+        # the sweep's sieve setup warns once about an unstable reduced
+        # spectrum; the operator itself does not warn again
         sys = BilinearSystem([[-1.0]], [[[0.0]]], [[1.0]], [[1.0]])
-        with pytest.warns(RuntimeWarning):
-            KroneckerOperator(np.array([0.5]), [np.array([[0.0]])], sys)
+        guess = BilinearSystem([[0.5]], [[[0.0]]], [[1.0]], [[1.0]])
+        with pytest.warns(RuntimeWarning, match="unstable eigenvalues") as caught:
+            sieve_operator(sys, guess)
+        assert len(caught) == 1
 
 
 class TestDirectSolve:
@@ -165,6 +169,43 @@ class TestBicgDualSolve:
         c = rng.standard_normal(24)
         rep_p, _ = bicg_dual_solve(op, b, c, tol=1e-10)
         assert rep_p.relative_residual_history[-1] <= 1e-10
+
+    @staticmethod
+    def _assert_restarted_once(op, b, c, tol):
+        with pytest.warns(RuntimeWarning, match="BiCG hit maxit"):
+            rep_p, rep_d = bicg_dual_solve(op, b, c, tol=tol)
+        for rep, rhs, apply in ((rep_p, b, op.apply),
+                                (rep_d, c, op.apply_transpose)):
+            assert rep.restarts == 1
+            assert rep.iterations == 4 * op.n * op.r
+            # the stored residual is recomputed from the final iterate
+            assert np.array_equal(vec(rep.residual),
+                                  rhs - apply(vec(rep.solution)))
+            assert rep.converged == (rep.relative_residual <= tol)
+
+    def test_restart_after_degenerate_initial_pairing(self, rng):
+        # c orthogonal to b: the initial pairing c.b is zero.  The restart
+        # nudges the dual iterate by 1e-10 only, so the new pairing is
+        # barely nondegenerate, and the run spends its whole budget
+        n = 8
+        sys = BilinearSystem(-np.diag(np.linspace(1.0, 3.0, n)), [np.zeros((n, n))],
+                             np.ones((n, 1)), np.ones((1, n)))
+        op = KroneckerOperator(np.array([-1.0]), [np.zeros((1, 1))], sys)
+        b = rng.standard_normal(n)
+        c = rng.standard_normal(n)
+        c -= (c @ b) / (b @ b) * b
+        self._assert_restarted_once(op, b, c, 1e-10)
+
+    def test_restart_after_inner_breakdown(self, rng):
+        # M = -A skew-symmetric (S = 0, N = 0) and b = c: the first inner
+        # pairing phat.Mp = b.(-A b) is zero
+        n = 6
+        K = rng.standard_normal((n, n))
+        sys = BilinearSystem(K - K.T, [np.zeros((n, n))],
+                             np.ones((n, 1)), np.ones((1, n)))
+        op = KroneckerOperator(np.array([0.0]), [np.zeros((1, 1))], sys)
+        b = rng.standard_normal(n)
+        self._assert_restarted_once(op, b, b.copy(), 1e-8)
 
     def test_rejects_bad_tol(self):
         op, _ = scalar_op()

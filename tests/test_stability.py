@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spsla
 
 from birka.linalg import SingularMatrixError
 from birka.models import HeatModelParams, build_heat_model
-from birka.reduction import BirkaConfig, IterationRecord, _project, run_birka
+from birka.reduction import BirkaConfig, IterationRecord, run_birka
 from birka.stability import (PerturbationF, analyze_iteration,
                              condition_number, construct_perturbation,
                              fhh_norm, perturbation_bound, stability_csv,
@@ -169,7 +169,7 @@ class TestObliqueGramGuard:
         lambda sys, V, W, R: construct_perturbation(V, W, R, R),
         lambda sys, V, W, R: perturbation_bound(R, R, V, W),
         lambda sys, V, W, R: verify_backward_stability(sys, V, W, np.zeros((6, 6))),
-        lambda sys, V, W, R: _project(sys, V, W),
+        lambda sys, V, W, R: sys.project(V, W),
     ], ids=["construct_perturbation", "perturbation_bound",
             "verify_backward_stability", "project"])
     def test_raises_when_wtv_is_zero(self, rng, call):
