@@ -22,6 +22,7 @@ import json
 import os
 import sys as _sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import scipy.sparse.linalg as spsla
@@ -111,6 +112,8 @@ def cmd_reduce(args):
         "condition_number": k,
         "final_reference_error": result.history[-1].reference_error,
         "final_f_norm": reports[-1].f_norm2,
+        "warnings": [{"message": msg, "count": count} for msg, count
+                     in Counter(str(w.message) for w in args.warnings).items()],
     }
     _write_json(os.path.join(out, "summary.json"), summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -318,8 +321,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # warnings are recorded, not printed; reduce writes them to its summary
+        with warnings.catch_warnings(record=True) as args.warnings:
+            warnings.simplefilter("always")
             return args.func(args)
     # LinAlgError subclasses ValueError, so it is caught first
     except (ConvergenceError, np.linalg.LinAlgError) as exc:

@@ -5,7 +5,8 @@ Kronecker and vec utilities, nonsymmetric eigendecomposition,
 orthonormalization, the oblique Gram guard, sparse LU solves and norms.
 One routine, :func:`two_norm`, takes every operator 2-norm: a dense SVD
 for arrays and one Lanczos run (ARPACK ``svds``) for sparse matrices
-and matrix-free operators.
+and matrix-free operators; :func:`spectral_abscissa` takes the
+rightmost eigenvalue by one Arnoldi run (ARPACK ``eigs``).
 """
 
 import numpy as np
@@ -145,6 +146,26 @@ def two_norm(M):
     except spsla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"two_norm: Lanczos did not converge: {exc}") from exc
     return float(sigma[0])
+
+
+def spectral_abscissa(M):
+    """Largest real part of an eigenvalue of a square sparse (or dense) matrix.
+
+    One ARPACK run (``eigs``, k=1, ``which="LR"``) from a fixed start
+    vector, so results repeat.  A matrix of order at most 2, below ARPACK's
+    ``k < n - 1``, is read densely.  Raises :class:`ConvergenceError` if
+    ARPACK does not converge.
+    """
+    n = M.shape[0]
+    if n <= 2:
+        M = M.toarray() if sps.issparse(M) else np.asarray(M)
+        return float(np.linalg.eigvals(M).real.max())
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w = spsla.eigs(M, k=1, which="LR", v0=v0, return_eigenvectors=False)
+    except spsla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"spectral_abscissa: Arnoldi did not converge: {exc}") from exc
+    return float(w[0].real)
 
 
 def frobenius_norm(M):

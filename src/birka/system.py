@@ -9,12 +9,17 @@ block-Kronecker operator of the error system.
 
 Every solve with the n^2-by-n^2 Gramian operator
 ``G = -A(x)I - I(x)A - sum_k N_k(x)N_k`` goes through one
-:class:`GramianSolver` per system: Bartels-Stewart on a real Schur factor
-of A for the Lyapunov part, plus a Sherman-Morrison-Woodbury correction
-over the columns the N_k touch for the bilinear part.  It also applies G
+:class:`GramianSolver` per system: the Lyapunov part is inverted in the
+coordinates of one real block-diagonalizing factor of A (Bavely-Stewart
+on its real Schur form), where it acts on each pair of diagonal blocks
+alone, and a Sherman-Morrison-Woodbury correction over the columns the
+N_k touch handles the bilinear part.  Its capacitance matrix comes from
+tensor contractions and each solve from GEMMs.  It also applies G
 matrix-free, so the extreme singular values of G come from Lanczos runs
 over its applies and solves, and the assembled operators are kept only
-as small-n test oracles.
+as small-n test oracles.  The stationary generalized-Lyapunov iteration
+keeps its own Bartels-Stewart solver on a real Schur factor, so the two
+H2-norm routes remain different algorithms.
 """
 
 import os
@@ -24,7 +29,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg as spla
 import scipy.sparse as sps
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dtrsen, dtrsyl
 from scipy.sparse.linalg import LinearOperator
 
 from . import linalg
@@ -34,6 +39,11 @@ from .linalg import SingularMatrixError, kron, oblique_gram, unvec, vec
 # it stops, and its step budget before the Kronecker fallback.
 LYAP_TOL = 1e-12
 LYAP_MAXIT = 500
+# Block diagonalization of A: a cluster of its real Schur form grows until
+# the Sylvester solution that decouples it from the rest of the spectrum
+# has at most this Frobenius norm.  Well-separated clusters of the flow and
+# heat models need at most 4; a defective eigenvalue needs 1e12 and more.
+DECOUPLE_MAX = 1e2
 
 
 class BilinearSystem:
@@ -81,9 +91,9 @@ class BilinearSystem:
                               label=self.label + ":reduced")
 
     def is_stable(self):
-        """True iff every eigenvalue of A has negative real part."""
-        w = np.linalg.eigvals(self.A.toarray())
-        return bool(np.all(w.real < 0))
+        """True iff every eigenvalue of A has negative real part, by
+        :func:`linalg.spectral_abscissa` on the sparse A."""
+        return linalg.spectral_abscissa(self.A) < 0
 
     def dense(self):
         """The four matrices as dense arrays (A, [N_k], B, C)."""
@@ -133,26 +143,195 @@ def gramian_operator(sys):
 
 
 class _Lyapunov:
-    """L(X) = -(A X + X A^T) and its transpose, inverted by Bartels-Stewart
-    (``dtrsyl``) on one real Schur factor ``A = Z T Z^T``."""
+    """L^{-1} for L(X) = -(A X + X A^T), by Bartels-Stewart (``dtrsyl``)
+    on one real Schur factor ``A = Z T Z^T``: the inner solve of
+    :func:`solve_generalized_lyapunov`."""
 
     def __init__(self, A):
         self.T, self.Z = spla.schur(A, output="real")
 
-    def schur_solve(self, S, transpose):
-        """Y with T Y + Y T^T = -S, or T^T Y + Y T = -S if ``transpose``:
-        L^{-1} or L^{-T} in Schur coordinates."""
-        flags = ("T", "N") if transpose else ("N", "T")
-        Y, scale, info = dtrsyl(self.T, self.T, -S, *flags)
+    def solve(self, R):
+        """X with L(X) = R."""
+        Z = self.Z
+        Y, scale, info = dtrsyl(self.T, self.T, -(Z.T @ R @ Z), "N", "T")
         if info != 0:
             raise SingularMatrixError(
                 "Lyapunov operator singular: two eigenvalues of A sum to zero")
-        return Y / scale
+        return Z @ (Y / scale) @ Z.T
 
-    def solve(self, R, transpose=False):
-        """X with L(X) = R, or L^T(X) = R if ``transpose``."""
-        Z = self.Z
-        return Z @ self.schur_solve(Z.T @ R @ Z, transpose) @ Z.T
+
+def _schur_bounds(T, start=0):
+    """Start of each 1x1 and 2x2 diagonal block of the real Schur form T from
+    ``start`` on, followed by its order."""
+    n = T.shape[0]
+    bounds, i = [], start
+    while i < n:
+        bounds.append(i)
+        i += 2 if i + 1 < n and T[i + 1, i] != 0 else 1
+    return bounds + [n]
+
+
+def _schur_eigvals(T):
+    """Eigenvalues of the real Schur form T, one per diagonal position: a
+    standardized 2x2 block has equal diagonal entries and eigenvalues
+    ``t_pp +- i sqrt(-t_{p,p+1} t_{p+1,p})``."""
+    ev = np.diag(T).astype(complex)
+    p = np.flatnonzero(np.diag(T, -1))
+    im = np.sqrt(np.abs(T[p, p + 1] * T[p + 1, p]))
+    ev[p] += 1j * im
+    ev[p + 1] -= 1j * im
+    return ev
+
+
+def _decoupling(T, bounds):
+    """Block diagonal D of T over the clusters ``bounds``, and the strictly
+    block upper triangular U with (I - U) T = D (I - U).  Row block k of U
+    is the Sylvester solution that decouples cluster k from the clusters
+    after it; all of them come from one ``dtrsyl`` of D against T, whose
+    zero right-hand side on and below the block diagonal keeps U zero there
+    (``info`` flags that singular part and is ignored)."""
+    D = np.zeros_like(T)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        D[a:b, a:b] = T[a:b, a:b]
+    U, scale, _ = dtrsyl(D, T, D - T, "N", "N", -1)
+    return D, U / scale
+
+
+def _grow_clusters(T, Z, bounds, first):
+    """Bavely-Stewart from cluster ``first`` on: while the Sylvester solution
+    that decouples the cluster [i, j) from T[j:, j:] is not finite with
+    Frobenius norm at most DECOUPLE_MAX, the diagonal block holding the
+    eigenvalue nearest the cluster's is moved to position j (``dtrsen``)
+    and joins the cluster."""
+    n = T.shape[0]
+    bounds = bounds[:first + 1]
+    i = bounds[-1]
+    while i < n:
+        j = _schur_bounds(T, i)[1]
+        while j < n:
+            Y, scale, _ = dtrsyl(T[i:j, i:j], T[j:, j:], -T[i:j, j:], "N", "N", -1)
+            if np.linalg.norm(Y / scale) <= DECOUPLE_MAX:
+                break
+            ev = _schur_eigvals(T)
+            p = j + int(np.argmin(np.abs(ev[j:, None] - ev[i:j]).min(axis=1)))
+            if p > j and T[p, p - 1] != 0:       # second row of a 2x2 block
+                p -= 1
+            q = _schur_bounds(T, p)[1]
+            select = np.zeros(n, dtype=np.int32)
+            select[:j] = select[p:q] = 1
+            T, Z, *_, info = dtrsen(select, T, Z, job="N")
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    "Schur reordering failed: eigenvalues too close to swap")
+            j += q - p
+        bounds.append(j)
+        i = j
+    return T, Z, bounds
+
+
+def _sylvester(A, B, S, trans):
+    """Y with op(A) Y + Y op(B)^T = -S for quasi-triangular A and B, where
+    op transposes if ``trans``."""
+    Y, scale, _ = dtrsyl(A, B, -S, *(("T", "N") if trans else ("N", "T")))
+    return Y / scale
+
+
+class _BlockDiagonal:
+    """One real block-diagonalizing factor ``A = X diag(T_1, ..., T_q) X^{-1}``
+    and the inverse of the Lyapunov operator ``L(P) = -(A P + P A^T)`` in its
+    coordinates.
+
+    The clusters start as the diagonal blocks of a real Schur form
+    ``A = Z T Z^T`` and are decoupled by Bavely and Stewart's method (SIAM
+    J. Numer. Anal. 16, 1979): ``X^{-1} = (I - U) Z^T`` with U from
+    :func:`_decoupling`.  A cluster whose decoupling solution exceeds
+    DECOUPLE_MAX in norm grows (:func:`_grow_clusters`), so X stays well
+    conditioned whatever the spectrum, defective or not.  ``sizes`` holds
+    the cluster orders and ``cond`` the 1-norm condition number of X.
+
+    With ``P = X Q X^T``, L becomes ``Lam(Q) = -(D Q + Q D^T)`` with
+    ``D = diag(T_1, ..., T_q)``, which acts on each cluster pair (a, b)
+    alone as ``-(T_a Q_ab + Q_ab T_b^T)``.  On a pair of 1x1 clusters that
+    is a product with ``-(lam_a + lam_b)``, so there Lam^{-1} is the
+    entrywise product with ``gamma``.  The rows of the clusters of order
+    above 1 (positions ``big``) and their columns take one Sylvester solve
+    each.  Raises :class:`SingularMatrixError` if two eigenvalues of A sum
+    to zero.
+    """
+
+    def __init__(self, A):
+        T, Z = spla.schur(A, output="real")
+        bounds = _schur_bounds(T)
+        D, U = _decoupling(T, bounds)
+        norms = np.sqrt(np.add.reduceat((U ** 2).sum(axis=1), bounds[:-1]))
+        bad = np.flatnonzero(~(norms <= DECOUPLE_MAX))
+        if bad.size:
+            T, Z, bounds = _grow_clusters(T, Z, bounds, bad[0])
+            D, U = _decoupling(T, bounds)
+        n = T.shape[0]
+        W = np.eye(n) - U
+        self.Xinv = W @ Z.T
+        self.X = Z @ spla.solve_triangular(W, np.eye(n), unit_diagonal=True)
+        self.cond = float(np.linalg.norm(self.X, 1) * np.linalg.norm(self.Xinv, 1))
+        self.sizes = np.diff(bounds)
+        ev = _schur_eigvals(T)
+        if np.abs(ev[:, None] + ev).min() <= linalg.EPS * np.abs(T).max():
+            raise SingularMatrixError(
+                "Lyapunov operator singular: two eigenvalues of A sum to zero")
+        starts = np.array(bounds[:-1])
+        self.one = starts[self.sizes == 1]
+        self.clusters = [(a, c) for a, c in zip(bounds[:-1], bounds[1:]) if c - a > 1]
+        self.big = np.setdiff1d(np.arange(n), self.one)
+        self.lam = np.diag(T)[self.one]
+        self.D, self.D2 = D, D[np.ix_(self.big, self.big)]
+        self.gamma = np.zeros((n, n))
+        self.gamma[np.ix_(self.one, self.one)] = -1.0 / (self.lam[:, None] + self.lam)
+
+    def lyap(self, S, transpose=False):
+        """Lam^{-1}(S), or Lam^{-T}(S) if ``transpose``, for an n-by-n S."""
+        W = self.gamma * S
+        one, big = self.one, self.big
+        if big.size:
+            W[big, :] = _sylvester(self.D2, self.D, S[big, :], transpose)
+            if one.size:
+                W[np.ix_(one, big)] = _sylvester(np.diag(self.lam), self.D2,
+                                                 S[np.ix_(one, big)], transpose)
+        return W
+
+    def capacitance(self, XJ, Q):
+        """The |J|^2-by-|J|^2 matrix ``M[c + j d, a + j b] = sum_k (X_J
+        Lam^{-1}(Q_k[:, a] Q_k[:, b]^T) X_J^T)[c, d]`` for the rows X_J of X
+        and the matrices Q_k, without forming Lam^{-1} of any n-by-n matrix.
+
+        Over the pairs of 1x1 clusters it is ``H gamma H^T`` with
+        ``H[(c,a), i] = X_J[c,i] Q_k[i,a]``.  A larger cluster T_a pairs with
+        each 1x1 cluster through a shifted solve with ``T_a + lam_i I``, all
+        of them batched.  The pairs of larger clusters take, for all (a, b)
+        at once, one Sylvester solve with |J| copies of their block diagonal
+        on either side.
+        """
+        j = XJ.shape[0]
+        one, big, lam = self.one, self.big, self.lam
+        Dj = np.kron(np.eye(j), self.D2)
+        M = np.zeros((j, j, j, j))
+        for Qk in Q:
+            H = (XJ[:, one][:, None, :] * Qk[one].T[None]).reshape(j * j, one.size)
+            M += (H @ self.gamma[np.ix_(one, one)] @ H.T).reshape(j, j, j, j)
+            if not (big.size and j):
+                continue
+            # (T_a + lam_i I) Z_i = -Q_k[a]: the pairs (big, 1x1) and, by
+            # symmetry of the sum, (1x1, big)
+            for a, b in self.clusters:
+                Zs = np.linalg.solve(-(self.D[a:b, a:b] + lam[:, None, None] * np.eye(b - a)),
+                                     np.broadcast_to(Qk[a:b], (one.size, b - a, j)))
+                G = np.einsum("cm,sma->sca", XJ[:, a:b], Zs).reshape(one.size, j * j)
+                GH = (G.T @ H.T).reshape(j, j, j, j)
+                M += GH + GH.transpose(2, 3, 0, 1)
+            q = Qk[big].T.reshape(-1)
+            W = _sylvester(Dj, Dj, np.outer(q, q), False).reshape(j, big.size, j, big.size)
+            XB = XJ[:, big]
+            M += np.einsum("ci,aibl,dl->cadb", XB, W, XB, optimize=True)
+        return M.transpose(2, 0, 3, 1).reshape(j * j, j * j)
 
 
 class GramianSolver:
@@ -160,15 +339,18 @@ class GramianSolver:
     matrix-free applies of both.
 
     On matrices, ``G(X) = L(X) - sum_k N_k X N_k^T`` with the Lyapunov
-    part ``L(X) = -(A X + X A^T)``.  L is inverted by Bartels-Stewart
-    (``dtrsyl``) on one real Schur factor ``A = Z T Z^T``.  If J is the
-    union of the column supports of the N_k and ``P_k = N_k[:, J]``, the
-    bilinear part is ``sum_k P_k X[J, J] P_k^T``, an update of rank at
-    most |J|^2, so G is inverted by the Sherman-Morrison-Woodbury formula
-    with the capacitance matrix ``K = I - (Y -> L^{-1}(sum_k P_k Y
-    P_k^T)[J, J])`` of order |J|^2, factored once and used transposed
-    for G^T (Damm, NLAA 15, 2008).  Building costs |J|^2 Sylvester
-    solves of order n; each solve costs two.  ``support`` holds J.
+    part ``L(X) = -(A X + X A^T)``.  If J is the union of the column
+    supports of the N_k and ``P_k = N_k[:, J]``, the bilinear part is
+    ``sum_k P_k X[J, J] P_k^T``, an update of rank at most |J|^2, so G is
+    inverted by the Sherman-Morrison-Woodbury formula with the capacitance
+    matrix ``K = I - M``, ``M = (Y -> L^{-1}(sum_k P_k Y P_k^T)[J, J])`` of
+    order |J|^2, factored once and used transposed for G^T (Damm, NLAA 15,
+    2008).  L^{-1} runs in the coordinates of one block-diagonalizing
+    factor ``A = X diag(T_1, ..., T_q) X^{-1}`` (:class:`_BlockDiagonal`),
+    where it acts on each cluster pair alone.  So M comes from contracting
+    ``X^{-1} P_k`` and ``X[J, :]`` against that inverse, and each solve
+    costs four GEMMs of order n.  ``support`` holds J, ``cluster_sizes``
+    the orders of the T_i and ``cond_X`` the 1-norm condition number of X.
 
     Raises :class:`SingularMatrixError` if two eigenvalues of A sum to
     zero (L singular) or K is numerically singular (G singular).
@@ -177,21 +359,18 @@ class GramianSolver:
     def __init__(self, sys):
         self.n = sys.n
         self._A = sys.A
-        self._L = _Lyapunov(sys.A.toarray())
+        F = self._F = _BlockDiagonal(sys.A.toarray())
+        self.cluster_sizes, self.cond_X = F.sizes, F.cond
         # J: sorted union of the column indices where some N_k is nonzero
         J = np.unique(np.concatenate([Nk.indices for Nk in sys.N]
                                      + [np.zeros(0, dtype=int)]))
         self.support = J
         self._P = [Nk[:, J].toarray() for Nk in sys.N]
         j = J.size
-        ZJ = self._L.Z[J, :]
-        ZtP = [self._L.Z.T @ Pk for Pk in self._P]
+        self._XJ = F.X[J, :]
+        self._Q = [F.Xinv @ Pk for Pk in self._P]
         # M = V^T L^{-1} U, column a + j*b from the image of E_ab under U
-        M = np.empty((j * j, j * j))
-        for b in range(j):
-            for a in range(j):
-                S = sum(np.outer(W[:, a], W[:, b]) for W in ZtP)
-                M[:, a + j * b] = vec(ZJ @ self._L.schur_solve(S, False) @ ZJ.T)
+        M = F.capacitance(self._XJ, self._Q)
         self._K_lu = spla.lu_factor(np.eye(j * j) - M, check_finite=False)
         # K = I - M: a pivot at roundoff of the two terms means G is singular
         pivot = np.abs(np.diag(self._K_lu[0])).min(initial=np.inf)
@@ -203,23 +382,24 @@ class GramianSolver:
 
     def solve(self, rhs):
         """x with G x = rhs, for a length-n^2 vector."""
-        n, J, j = self.n, self.support, self.support.size
-        X = self._L.solve(unvec(rhs, n, n))
+        F, n, j = self._F, self.n, self.support.size
+        W = F.lyap(F.Xinv @ unvec(rhs, n, n) @ F.Xinv.T)
         if j:
-            Y = unvec(spla.lu_solve(self._K_lu, vec(X[np.ix_(J, J)])), j, j)
-            X = X + self._L.solve(sum(Pk @ Y @ Pk.T for Pk in self._P))
-        return vec(X)
+            XJ = self._XJ
+            Y = unvec(spla.lu_solve(self._K_lu, vec(XJ @ W @ XJ.T)), j, j)
+            W = W + F.lyap(sum(Qk @ Y @ Qk.T for Qk in self._Q))
+        return vec(F.X @ W @ F.X.T)
 
     def solve_transpose(self, rhs):
         """x with G^T x = rhs, for a length-n^2 vector."""
-        n, J, j = self.n, self.support, self.support.size
-        X = self._L.solve(unvec(rhs, n, n), transpose=True)
+        F, n, j = self._F, self.n, self.support.size
+        W = F.lyap(F.X.T @ unvec(rhs, n, n) @ F.X, transpose=True)
         if j:
-            y = vec(sum(Pk.T @ X @ Pk for Pk in self._P))
-            E = np.zeros((n, n))
-            E[np.ix_(J, J)] = unvec(spla.lu_solve(self._K_lu, y, trans=1), j, j)
-            X = X + self._L.solve(E, transpose=True)
-        return vec(X)
+            XJ = self._XJ
+            y = vec(sum(Qk.T @ W @ Qk for Qk in self._Q))
+            E = unvec(spla.lu_solve(self._K_lu, y, trans=1), j, j)
+            W = W + F.lyap(XJ.T @ E @ XJ, transpose=True)
+        return vec(F.Xinv.T @ W @ F.Xinv)
 
     def apply(self, x):
         """G x for a length-n^2 vector, without assembling G."""

@@ -99,6 +99,22 @@ class TestReduce:
         assert summary["solver"] == "bicg"
         assert summary["final_reference_error"] is not None
 
+    def test_warnings_recorded_in_summary(self, tmp_path, capsys):
+        # --maxit 2 stops every BiCG solve at its budget, and each one warns
+        # (at --maxit 1 the reduced model has no H2 norm and reduce exits 2)
+        code = main(["reduce", "--model", "flow", "--N", "3", "--r", "2",
+                     "--solver", "bicg", "--tol", "1e-8", "--maxit", "2",
+                     "--max-outer", "3", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "reduce" / "summary.json").read_text())
+        entries = summary["warnings"]
+        messages = [e["message"] for e in entries]
+        assert len(set(messages)) == len(messages)
+        assert all(e["count"] >= 1 for e in entries)
+        maxit = [e for e in entries if e["message"].startswith("BiCG hit maxit=2 ")]
+        assert sum(e["count"] for e in maxit) >= summary["iterations"]
+
     def test_summary_needs_no_full_diagnostics(self, tmp_path, capsys,
                                                monkeypatch):
         def fail(sys):
@@ -112,7 +128,7 @@ class TestReduce:
         assert sorted(summary) == [
             "bicg_tol", "condition_number", "converged", "final_f_norm",
             "final_reference_error", "h2_error", "h2_norm", "iterations",
-            "model", "n", "qinv_norm", "r", "solver"]
+            "model", "n", "qinv_norm", "r", "solver", "warnings"]
         sys = build_flow_model(FlowModelParams(N=3))
         assert summary["qinv_norm"] == pytest.approx(
             qhat_diagnostics(sys).qinv_norm, rel=1e-12)

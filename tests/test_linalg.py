@@ -4,8 +4,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 
 from birka.linalg import (ConvergenceError, SingularMatrixError, SparseLU,
-                          eig_dense, frobenius_norm, kron, orth, two_norm,
-                          unvec, vec)
+                          eig_dense, frobenius_norm, kron, orth,
+                          spectral_abscissa, two_norm, unvec, vec)
 from birka.models import FlowModelParams, build_flow_model
 
 
@@ -155,6 +155,16 @@ class TestNorms:
         monkeypatch.setattr(spsla, "svds", no_convergence)
         with pytest.raises(ConvergenceError):
             two_norm(sps.identity(10, format="csr"))
+
+    def test_spectral_abscissa_arpack_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spsla.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(spsla, "eigs", no_convergence)
+        with pytest.raises(ConvergenceError):
+            spectral_abscissa(-sps.identity(10, format="csr"))
+
+    def test_spectral_abscissa_below_arpack_order(self):
+        assert spectral_abscissa(sps.csr_matrix([[-1.0, 5.0], [0.0, 2.0]])) == 2.0
 
     def test_sparse_frobenius(self, rng):
         M = sps.random(30, 30, density=0.2, random_state=7)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import birka.system
-from birka.linalg import SingularMatrixError, SparseLU, kron, vec
+from birka.linalg import (SingularMatrixError, SparseLU, kron,
+                          spectral_abscissa, vec)
 from birka.models import (FlowModelParams, HeatModelParams, build_flow_model,
                           build_heat_model)
 from birka.reduction import initialize_guess
@@ -103,7 +104,12 @@ ORACLE_CASES = [
     ("flow N=3", _FLOW3, 3),
     ("heat K=4", build_heat_model(HeatModelParams(K=4)), 7),
     ("flow N=3 vs guess", error_system(_FLOW3, initialize_guess(0, 6, 1, 1)), 9),
+    # A is defective at N=5 and N=11: its eigenvector matrix has
+    # cond 1e13-1e15, so the factor needs clusters of order above 1
+    ("flow N=5", build_flow_model(FlowModelParams(N=5)), 5),
+    ("flow N=11", build_flow_model(FlowModelParams(N=11)), 11),
 ]
+DEFECTIVE = [case[1] for case in ORACLE_CASES[-2:]]
 
 
 class TestGramianSolver:
@@ -127,6 +133,40 @@ class TestGramianSolver:
         for got, want in ((solver.apply(x), G @ x),
                           (solver.apply_transpose(x), G.T @ x)):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sys", DEFECTIVE, ids=["flow N=5", "flow N=11"])
+    def test_defective_drift_takes_clusters(self, sys):
+        solver = GramianSolver(sys)
+        assert solver.cluster_sizes.max() > 1
+        assert solver.cluster_sizes.sum() == sys.n
+        assert np.isfinite(solver.cond_X)
+        a, b = h2_norm_kron(sys), h2_norm_lyap(sys)
+        assert abs(a - b) <= 1e-8 * a
+
+    def test_factor_reproduces_drift(self):
+        # A = X diag(T_1, ..., T_q) X^{-1} with X^{-1} the inverse of X
+        sys = DEFECTIVE[1]
+        F = GramianSolver(sys)._F
+        A = sys.A.toarray()
+        assert np.linalg.norm(F.Xinv @ F.X - np.eye(sys.n)) <= 1e-12 * F.cond
+        assert np.linalg.norm(F.X @ F.D @ F.Xinv - A) <= 1e-13 * F.cond * np.linalg.norm(A)
+
+    def test_build_cost_does_not_grow_with_support(self, monkeypatch):
+        # the old build ran one Sylvester solve per capacitance column,
+        # |J|^2 = 49 at K=4 and 225 at K=8; now: one to decouple the
+        # clusters, plus one per input if some cluster has order above 1
+        calls = []
+        dtrsyl = birka.system.dtrsyl
+
+        def counting_dtrsyl(*args, **kwargs):
+            calls.append(1)
+            return dtrsyl(*args, **kwargs)
+        monkeypatch.setattr(birka.system, "dtrsyl", counting_dtrsyl)
+        for K, support in ((4, 7), (8, 15)):
+            calls.clear()
+            sys = build_heat_model(HeatModelParams(K=K))
+            assert GramianSolver(sys).support.size == support
+            assert 1 <= len(calls) <= 1 + sys.m
 
     def test_bilinear_term_cancels_lyapunov_part(self):
         # G = 2 - n1^2 = 0
@@ -152,6 +192,24 @@ class TestGramianSolver:
         condition_number(sys, diagnostics=diag)
         h2_norm_kron(sys)
         assert builds == [sys]
+
+
+class TestIsStable:
+    SHIFTED = BilinearSystem(_FLOW3.A + 1.0 * np.eye(_FLOW3.n), _FLOW3.N,
+                             _FLOW3.B, _FLOW3.C)
+
+    @pytest.mark.parametrize("sys", [case[1] for case in ORACLE_CASES[:6]]
+                             + [build_flow_model(FlowModelParams(N=30)),
+                                build_heat_model(HeatModelParams(K=30)), SHIFTED],
+                             ids=[case[0] for case in ORACLE_CASES[:6]]
+                             + ["flow N=30", "heat K=30", "flow N=3 + I"])
+    def test_matches_dense_spectrum(self, sys):
+        want = np.linalg.eigvals(sys.A.toarray()).real.max()
+        assert abs(spectral_abscissa(sys.A) - want) <= 1e-10 * abs(want)
+        assert sys.is_stable() == (want < 0)
+
+    def test_shifted_copy_is_unstable(self):
+        assert _FLOW3.is_stable() and not self.SHIFTED.is_stable()
 
 
 class TestH2NormLyap:
