@@ -1,11 +1,12 @@
 """Scale ladder of the Gramian engine and of the CLI, with BLAS on one thread.
 
 For flow N = 10, 20, 30 this prints one JSON line per size with the
-``GramianSolver`` build time, the time of one solve, and the wall time of
-``birka reduce --r 6`` plus ``birka stability``, each run as its own
-process.  For heat K = 10 and 20 it prints the build and solve times only:
-there the H2 norm does not exist (rho(L^-1 Pi) >= 1), so reduce and
-stability exit with a numerical error.
+``GramianSolver`` build time, the time of one solve, the wall time of
+``birka reduce --r 6`` plus ``birka stability``, and that of
+``birka h2norm --method lyap``, each command run as its own process.
+For heat K = 10 and 20 it prints the build and solve times only: there
+the H2 norm does not exist (rho(L^-1 Pi) >= 1), so reduce and stability
+exit with a numerical error.
 
 Run:  python3 demos/scale_ladder.py   (from a checkout, or with birka installed)
 """
@@ -41,13 +42,14 @@ def engine_times(sys_full):
     return solver, build, time.perf_counter() - t0
 
 
-def cli_wall(model_args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+def cli_wall(*cmds):
+    """Wall time of the CLI commands, run one after the other."""
     with tempfile.TemporaryDirectory() as out:
+        env = dict(os.environ, BIRKA_OUTPUT_ROOT=out, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         t0 = time.perf_counter()
-        for cmd in (["reduce", *model_args, "--r", "6"], ["stability", *model_args]):
-            subprocess.run([sys.executable, "-m", "birka.cli", *cmd, "--out", out],
+        for cmd in cmds:
+            subprocess.run([sys.executable, "-m", "birka.cli", *cmd],
                            env=env, check=True, stdout=subprocess.DEVNULL)
         return time.perf_counter() - t0
 
@@ -63,6 +65,9 @@ for model, size, build_model, params in (
             "cond_X": solver.cond_X, "build_s": round(build, 3),
             "solve_s": round(solve, 4)}
     if model == "flow":
-        line["reduce_plus_stability_s"] = round(
-            cli_wall(["--model", "flow", "--N", str(size)]), 2)
+        model_args = ["--model", "flow", "--N", str(size)]
+        line["reduce_plus_stability_s"] = round(cli_wall(
+            ["reduce", *model_args, "--r", "6"], ["stability", *model_args]), 2)
+        line["h2norm_lyap_s"] = round(
+            cli_wall(["h2norm", *model_args, "--method", "lyap"]), 2)
     print(json.dumps(line), flush=True)

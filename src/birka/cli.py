@@ -93,29 +93,35 @@ def cmd_reduce(args):
     out = os.path.join(args.out or _output_root(), "reduce")
     os.makedirs(out, exist_ok=True)
     config = _birka_config(args, args.solver, args.tol, args.seed, args.r)
-    result = run_birka(sys_full, config)
-    result.save(out)
-    reports = [analyze_iteration(sys_full, rec, compute_fhh=args.fhh)
-               for rec in result.history]
-    stability_csv(reports, os.path.join(out, "stability.csv"))
-    k, factors = condition_number(sys_full, return_factors=True)
-    summary = {
-        "model": sys_full.label,
-        "n": sys_full.n, "r": config.r,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "solver": config.solver_mode,
-        "bicg_tol": config.bicg_tol if config.solver_mode == "bicg" else None,
-        "h2_norm": factors["h2_norm"],
-        "h2_error": h2_error(sys_full, result.reduced),
-        "qinv_norm": factors["qinv_norm"],
-        "condition_number": k,
-        "final_reference_error": result.history[-1].reference_error,
-        "final_f_norm": reports[-1].f_norm2,
-        "warnings": [{"message": msg, "count": count} for msg, count
-                     in Counter(str(w.message) for w in args.warnings).items()],
-    }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    summary = {"model": sys_full.label, "n": sys_full.n, "r": config.r}
+    try:
+        result = run_birka(sys_full, config)
+        result.save(out)
+        reports = [analyze_iteration(sys_full, rec, compute_fhh=args.fhh)
+                   for rec in result.history]
+        stability_csv(reports, os.path.join(out, "stability.csv"))
+        k, factors = condition_number(sys_full, return_factors=True)
+        summary.update({
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "solver": config.solver_mode,
+            "bicg_tol": config.bicg_tol if config.solver_mode == "bicg" else None,
+            "h2_norm": factors["h2_norm"],
+            "h2_error": h2_error(sys_full, result.reduced),
+            "qinv_norm": factors["qinv_norm"],
+            "condition_number": k,
+            "final_reference_error": result.history[-1].reference_error,
+            "final_f_norm": reports[-1].f_norm2,
+        })
+    except Exception as exc:
+        summary["error"] = str(exc)
+        raise
+    finally:
+        # a failed run keeps the warnings recorded up to its failure
+        summary["warnings"] = [
+            {"message": msg, "count": count} for msg, count
+            in Counter(str(w.message) for w in args.warnings).items()]
+        _write_json(os.path.join(out, "summary.json"), summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

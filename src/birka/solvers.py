@@ -359,9 +359,8 @@ def bicg_dual_solve(op, rhs_primal, rhs_dual, tol, maxit=None, precond=None):
         rhat = c - op.apply_transpose(xhat)
     conv_p = hist_p[-1] <= tol
     conv_d = hist_d[-1] <= tol
-    warnings.warn(f"BiCG hit maxit={maxit} with residuals "
-                  f"{hist_p[-1]:.3e}/{hist_d[-1]:.3e} (tol {tol:g})",
-                  RuntimeWarning, stacklevel=2)
+    warnings.warn(f"BiCG hit maxit={maxit} (tol {tol:g})", RuntimeWarning,
+                  stacklevel=2)
     return _finalize_pair(op, b, c, x, xhat, it, hist_p, hist_d, tol, "bicg",
                           precond.describe() if precond else "none",
                           conv_p, conv_d, stagnated, restarts)

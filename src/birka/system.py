@@ -18,11 +18,13 @@ tensor contractions and each solve from GEMMs.  It also applies G
 matrix-free, so the extreme singular values of G come from Lanczos runs
 over its applies and solves, and the assembled operators are kept only
 as small-n test oracles.  The stationary generalized-Lyapunov iteration
-keeps its own Bartels-Stewart solver on a real Schur factor, so the two
-H2-norm routes remain different algorithms.
+inverts the Lyapunov part with the same factor, which each system builds
+once and keeps; the two H2-norm routes share only that factor and remain
+different algorithms.
 """
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +71,16 @@ class BilinearSystem:
         self.A, self.N, self.B, self.C = A, N, B, C
         self.n, self.m, self.p = n, m, p
         self.label = label
+        self._block_diagonal = None
         self._gramian_solver = None
+
+    def block_diagonal(self):
+        """The block-diagonalizing factor of A (:class:`_BlockDiagonal`) that
+        both H2-norm routes invert the Lyapunov operator with, built on first
+        use and kept."""
+        if self._block_diagonal is None:
+            self._block_diagonal = _BlockDiagonal(self.A.toarray())
+        return self._block_diagonal
 
     def gramian_solver(self):
         """The system's :class:`GramianSolver`, built on first use and kept."""
@@ -140,24 +151,6 @@ def gramian_operator(sys):
     for Nk in sys.N:
         G = G - kron(Nk, Nk)
     return G.tocsr()
-
-
-class _Lyapunov:
-    """L^{-1} for L(X) = -(A X + X A^T), by Bartels-Stewart (``dtrsyl``)
-    on one real Schur factor ``A = Z T Z^T``: the inner solve of
-    :func:`solve_generalized_lyapunov`."""
-
-    def __init__(self, A):
-        self.T, self.Z = spla.schur(A, output="real")
-
-    def solve(self, R):
-        """X with L(X) = R."""
-        Z = self.Z
-        Y, scale, info = dtrsyl(self.T, self.T, -(Z.T @ R @ Z), "N", "T")
-        if info != 0:
-            raise SingularMatrixError(
-                "Lyapunov operator singular: two eigenvalues of A sum to zero")
-        return Z @ (Y / scale) @ Z.T
 
 
 def _schur_bounds(T, start=0):
@@ -298,6 +291,10 @@ class _BlockDiagonal:
                                                  S[np.ix_(one, big)], transpose)
         return W
 
+    def solve_lyapunov(self, R):
+        """P with L(P) = R, as ``X Lam^{-1}(X^{-1} R X^{-T}) X^T``."""
+        return self.X @ self.lyap(self.Xinv @ R @ self.Xinv.T) @ self.X.T
+
     def capacitance(self, XJ, Q):
         """The |J|^2-by-|J|^2 matrix ``M[c + j d, a + j b] = sum_k (X_J
         Lam^{-1}(Q_k[:, a] Q_k[:, b]^T) X_J^T)[c, d]`` for the rows X_J of X
@@ -359,7 +356,7 @@ class GramianSolver:
     def __init__(self, sys):
         self.n = sys.n
         self._A = sys.A
-        F = self._F = _BlockDiagonal(sys.A.toarray())
+        F = self._F = sys.block_diagonal()
         self.cluster_sizes, self.cond_X = F.sizes, F.cond
         # J: sorted union of the column indices where some N_k is nonzero
         J = np.unique(np.concatenate([Nk.indices for Nk in sys.N]
@@ -508,23 +505,25 @@ def h2_norm_kron(sys):
 def solve_generalized_lyapunov(sys):
     """Reachability Gramian P of A P + P A^T + sum_k N_k P N_k^T = -B B^T.
 
-    Runs the stationary iteration with Bartels-Stewart inner solves on one
-    Schur factor of A, until the residual is at most ``LYAP_TOL`` times the
-    norms of the terms it sums, ||B B^T|| + 2 ||A P|| + sum_k ||N_k P N_k^T||
-    (a backward error, whose roundoff floor does not grow with n); on
-    divergence falls back to the direct Kronecker solve with the system's
-    :class:`GramianSolver`.  Returns ``(P, method)`` with method in
-    {"stationary", "kronecker"}.
+    Runs the stationary iteration, each sweep a Lyapunov solve in the
+    coordinates of the system's block-diagonal factor of A
+    (:meth:`BilinearSystem.block_diagonal`), until the residual is at most
+    ``LYAP_TOL`` times the norms of the terms it sums, ||B B^T|| + 2 ||A P||
+    + sum_k ||N_k P N_k^T|| (a backward error, whose roundoff floor does not
+    grow with n).  If it diverges or does not converge in ``LYAP_MAXIT``
+    sweeps, it warns (``RuntimeWarning``) and falls back to the direct
+    Kronecker solve with the system's :class:`GramianSolver`.  Returns
+    ``(P, method)`` with method in {"stationary", "kronecker"}.
     """
     A, N = sys.A, sys.N
     BBt = (sys.B @ sys.B.T).toarray()
     bbt_norm = np.linalg.norm(BBt)
     rhs_norm = max(bbt_norm, 1.0)
-    lyap = _Lyapunov(A.toarray())
+    factor = sys.block_diagonal()
     NPN = []
     best_res = np.inf
     for _ in range(LYAP_MAXIT):
-        P = lyap.solve(BBt + sum(NPN))
+        P = factor.solve_lyapunov(BBt + sum(NPN))
         P = 0.5 * (P + P.T)
         AP = A @ P
         # P is symmetric, so N P N^T = N (N P)^T and P A^T = (A P)^T
@@ -536,9 +535,14 @@ def solve_generalized_lyapunov(sys):
         # divergence (rho(L^{-1} Pi) >= 1) grows the residual by less than
         # tenfold per step, so it is measured against the best so far
         if not np.isfinite(res) or res > 10 * max(best_res, rhs_norm):
+            reason = "diverged"
             break
         best_res = min(best_res, res)
-    # divergent (spectral radius >= 1) or stagnating: direct solve
+    else:
+        reason = f"did not converge in {LYAP_MAXIT} sweeps"
+    warnings.warn(f"stationary generalized-Lyapunov iteration {reason}; "
+                  "falling back to the Kronecker solve", RuntimeWarning,
+                  stacklevel=2)
     P = unvec(sys.gramian_solver().solve(vec(BBt)), sys.n, sys.n)
     return 0.5 * (P + P.T), "kronecker"
 

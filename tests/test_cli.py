@@ -112,8 +112,22 @@ class TestReduce:
         messages = [e["message"] for e in entries]
         assert len(set(messages)) == len(messages)
         assert all(e["count"] >= 1 for e in entries)
+        # one message per kind: the text does not carry the residuals
         maxit = [e for e in entries if e["message"].startswith("BiCG hit maxit=2 ")]
-        assert sum(e["count"] for e in maxit) >= summary["iterations"]
+        assert len(maxit) == 1 and maxit[0]["count"] >= summary["iterations"]
+
+    def test_numerical_failure_writes_summary(self, tmp_path, capsys):
+        code = main(["reduce", "--model", "flow", "--N", "3", "--r", "2",
+                     "--solver", "bicg", "--maxit", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        summary = json.loads((tmp_path / "reduce" / "summary.json").read_text())
+        assert sorted(summary) == ["error", "model", "n", "r", "warnings"]
+        assert summary["error"] == err["error"]
+        assert (summary["n"], summary["r"]) == (12, 2)
+        assert any(e["message"].startswith("BiCG hit maxit=1 ")
+                   for e in summary["warnings"])
 
     def test_summary_needs_no_full_diagnostics(self, tmp_path, capsys,
                                                monkeypatch):

@@ -42,11 +42,14 @@ class TestGeneralizedLyapunov:
         assert np.allclose(P, 0.0)
 
     def test_matches_kronecker_solve(self, rng):
-        sys = random_stable_system(rng, 10, m=2)
-        P, _ = solve_generalized_lyapunov(sys)
-        x = SparseLU(gramian_operator(sys)).solve(
-            kron(sys.B, sys.B) @ vec(np.eye(sys.m)))
-        assert np.allclose(vec(P), x, rtol=1e-9, atol=1e-12)
+        # flow N=5: A is defective, so the factor has clusters of order above 1
+        for sys in (random_stable_system(rng, 10, m=2),
+                    build_flow_model(FlowModelParams(N=5))):
+            P, method = solve_generalized_lyapunov(sys)
+            assert method == "stationary"
+            x = SparseLU(gramian_operator(sys)).solve(
+                kron(sys.B, sys.B) @ vec(np.eye(sys.m)))
+            assert np.allclose(vec(P), x, rtol=1e-9, atol=1e-12)
 
     def test_divergent_iteration_beyond_old_size_guard(self):
         # n^2 = 44100; one rank-2 N touching two columns, scaled so that
@@ -58,7 +61,8 @@ class TestGeneralizedLyapunov:
         N[:, [3, 150]] = 30.0 * rng.standard_normal((n, 2)) / np.sqrt(n)
         B = rng.standard_normal((n, 1))
         sys = BilinearSystem(A, [N], B, rng.standard_normal((1, n)))
-        P, method = solve_generalized_lyapunov(sys)
+        with pytest.warns(RuntimeWarning, match="diverged; falling back"):
+            P, method = solve_generalized_lyapunov(sys)
         assert method == "kronecker"
         assert sys.gramian_solver().support.tolist() == [3, 150]
         resid = A @ P + P @ A.T + N @ P @ N.T + B @ B.T
@@ -78,6 +82,9 @@ class TestGeneralizedLyapunov:
         P, method = solve_generalized_lyapunov(sys)
         assert method == "stationary"
         assert sys._gramian_solver is None and len(schur_calls) == 1
+        # the Kronecker route reuses the factor
+        sys.gramian_solver()
+        assert len(schur_calls) == 1
         A, N, B, _ = sys.dense()
         AP, NPN = A @ P, [Nk @ P @ Nk.T for Nk in N]
         terms = (np.linalg.norm(B @ B.T) + 2 * np.linalg.norm(AP)
